@@ -17,6 +17,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sync"
 )
 
 // An Analyzer is one static-analysis pass. Name is the identifier used in
@@ -40,6 +41,43 @@ type Pass struct {
 
 	report func(Diagnostic)
 	stats  map[string]int
+	memo   *memo // the loaded package's, or nil when the Pass was built by hand
+}
+
+// memo holds per-package results that several analyzers share. It lives on
+// the loaded Package, so it is dropped together with the package.
+type memo struct {
+	mu   sync.Mutex
+	vals map[any]any
+}
+
+// Memo returns the value compute produced for key on the package under
+// analysis, calling compute only the first time any analyzer asks for key
+// on that package, across Run calls. compute must depend on the package
+// alone, so sharing its result cannot change findings. The result is
+// released with the loaded package.
+func (p *Pass) Memo(key any, compute func() any) any {
+	m := p.memo
+	if m == nil {
+		return compute()
+	}
+	m.mu.Lock()
+	v, ok := m.vals[key]
+	m.mu.Unlock()
+	if ok {
+		return v
+	}
+	v = compute()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev, ok := m.vals[key]; ok {
+		return prev // a concurrent caller stored first
+	}
+	if m.vals == nil {
+		m.vals = map[any]any{}
+	}
+	m.vals[key] = v
+	return v
 }
 
 // Report records a diagnostic against the package under analysis.

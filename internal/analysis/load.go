@@ -22,6 +22,8 @@ type Package struct {
 	Types   *types.Package
 	Info    *types.Info
 	Sources map[string][]byte
+
+	memo memo // results shared by the analyzers run on this package
 }
 
 // A Loader parses and type-checks packages from source. It resolves three

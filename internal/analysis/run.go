@@ -70,6 +70,7 @@ func RunStats(pkg *Package, fset *token.FileSet, analyzers []*Analyzer) ([]Findi
 			TypesInfo: pkg.Info,
 			Sources:   pkg.Sources,
 			report:    func(d Diagnostic) { diags = append(diags, d) },
+			memo:      &pkg.memo,
 		}
 		begin := time.Now()
 		if err := a.Run(pass); err != nil {

@@ -26,7 +26,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 
 	"dprle/internal/analysis"
 	"dprle/internal/analysis/callgraph"
@@ -134,31 +133,24 @@ func (in *Info) ForFunc(fn *types.Func) (FuncSummary, bool) {
 	return in.Summaries[n.ID], true
 }
 
-var (
-	cacheMu sync.Mutex
-	cache   = map[*types.Package]*Info{}
-)
+// memoKey keys the package's Info in the analysis.Pass memo.
+type memoKey struct{}
 
 // Of computes (or returns the memoized) interprocedural info for the
-// package a Pass presents. Analyzers running over the same package share
-// one computation; the result depends only on the package content, so
-// memoization cannot change findings. The dynamic-dispatch skip and
-// degraded-SCC counts are recorded on the calling analyzer's Pass each
-// time, so every consumer's -stats row shows the approximation it ran
-// under. Summary computation cannot fail: components that do not converge
-// degrade to empty summaries instead of aborting the analyzers.
+// package a Pass presents. Analyzers running over the same loaded package
+// share one computation, which is released together with the package; the
+// result depends only on the package content, so memoization cannot change
+// findings. The dynamic-dispatch skip and degraded-SCC counts are recorded
+// on the calling analyzer's Pass each time, so every consumer's -stats row
+// shows the approximation it ran under. Summary computation cannot fail:
+// components that do not converge degrade to empty summaries instead of
+// aborting the analyzers.
 func Of(pass *analysis.Pass) *Info {
-	cacheMu.Lock()
-	in, ok := cache[pass.Pkg]
-	cacheMu.Unlock()
-	if !ok {
+	in := pass.Memo(memoKey{}, func() any {
 		g := callgraph.Build(pass.TypesInfo, pass.Files)
 		sums, degraded := computeSummaries(pass.TypesInfo, g)
-		in = &Info{Graph: g, Summaries: sums, DegradedSCCs: degraded}
-		cacheMu.Lock()
-		cache[pass.Pkg] = in
-		cacheMu.Unlock()
-	}
+		return &Info{Graph: g, Summaries: sums, DegradedSCCs: degraded}
+	}).(*Info)
 	pass.CountStat(StatDynamicSkips, in.Graph.DynamicSkips)
 	pass.CountStat(StatDegradedSCCs, in.DegradedSCCs)
 	return in

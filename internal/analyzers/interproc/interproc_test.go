@@ -2,7 +2,9 @@ package interproc
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"dprle/internal/analysis"
 	"dprle/internal/analysis/callgraph"
@@ -194,4 +196,46 @@ func TestSummariesDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOfMemoLivesWithPackage checks that Of computes a package's Info once
+// across analyzers and Run calls, and that the Info becomes collectable
+// once its loader and package are dropped: no package-level map keeps
+// loaded packages alive.
+func TestOfMemoLivesWithPackage(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		l := analysis.NewSourceLoader("testdata/src")
+		pkg, err := l.Load("sum")
+		if err != nil {
+			t.Fatalf("loading fixture: %v", err)
+		}
+		var infos []*Info
+		probe := func(name string) *analysis.Analyzer {
+			return &analysis.Analyzer{Name: name, Run: func(p *analysis.Pass) error {
+				infos = append(infos, Of(p))
+				return nil
+			}}
+		}
+		for _, suite := range [][]*analysis.Analyzer{{probe("a"), probe("b")}, {probe("c")}} {
+			if _, err := analysis.Run(pkg, l.Fset, suite); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, in := range infos[1:] {
+			if in != infos[0] {
+				t.Fatal("Of recomputed the Info of an already analyzed package")
+			}
+		}
+		runtime.SetFinalizer(infos[0], func(*Info) { close(collected) })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("Info still reachable after its loader and package were dropped")
 }

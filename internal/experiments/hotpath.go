@@ -3,11 +3,12 @@ package experiments
 // The hot-path experiment: steady-state measurements of the NFA substrate
 // operations the solver spends its time in — chained cross-products with
 // trimming (gci stage 1/2), the induce-per-seam loop (gci stage 4 / ci),
-// determinization, DFA membership, and a full corpus solve — each reported
-// as wall time plus heap allocations. cmd/benchtab renders the report with
-// -table hotpath and emits it machine-readably as BENCH_hotpath.json,
-// carrying a frozen baseline (captured before the zero-copy/bitset rework)
-// so every run shows the speedup trajectory.
+// determinization, DFA membership, minimization of warp/secure's largest
+// constant, a full solve of the ordinary corpus, and warp/secure's solve —
+// each reported as wall time plus heap allocations. cmd/benchtab renders the
+// report with -table hotpath and emits it machine-readably as
+// BENCH_hotpath.json, carrying a frozen baseline (captured before the
+// zero-copy/bitset rework) so every run shows the speedup trajectory.
 
 import (
 	"fmt"
@@ -15,8 +16,10 @@ import (
 	"time"
 
 	"dprle/internal/core"
+	"dprle/internal/corpus"
 	"dprle/internal/nfa"
 	"dprle/internal/regex"
+	"dprle/internal/symexec"
 )
 
 // HotpathRow is one measured workload: total wall time and heap traffic
@@ -105,10 +108,8 @@ func hotpathMeasure(name string, iters int, fn func()) HotpathRow {
 	}
 }
 
-// HotpathExperiment measures the five hot-path workloads. skipBig excludes
-// the pathological warp/secure defect from the corpus row, matching the
-// cache experiment's default.
-func HotpathExperiment(skipBig bool) (HotpathReport, error) {
+// HotpathExperiment measures the seven hot-path workloads.
+func HotpathExperiment() (HotpathReport, error) {
 	var rep HotpathReport
 
 	// product-chain: gci stage 1 in miniature — a variable's language is
@@ -181,26 +182,76 @@ func HotpathExperiment(skipBig bool) (HotpathReport, error) {
 		return rep, fmt.Errorf("hotpath: dfa rejected its own word")
 	}
 
-	// corpus-solve: the realistic end-to-end mix — every Figure 12
-	// constraint system solved for its inputs, caching disabled, timing
-	// and allocation-counting only the solves.
-	systems, err := CorpusSystems(skipBig)
+	// minimize: the largest constant DFA of warp/secure, the row whose
+	// constant canonicalization made Figure 12 pathological.
+	secure, ok := corpus.DefectByName("warp/secure")
+	if !ok {
+		return rep, fmt.Errorf("hotpath: warp/secure missing from the corpus")
+	}
+	secureSystems, err := defectSystems(secure)
 	if err != nil {
 		return rep, err
 	}
-	var solveErr error
-	rep.Rows = append(rep.Rows, hotpathMeasure("corpus-solve", 2, func() {
-		for _, ps := range systems {
-			if _, err := core.SolveFor(ps.Sys, ps.Inputs, core.Options{}); err != nil {
-				solveErr = fmt.Errorf("%s: %w", ps.Sink.Kind, err)
-				return
+	var big *nfa.DFA
+	for _, ps := range secureSystems {
+		for _, c := range ps.Sys.Constraints() {
+			for _, m := range constLangs([]*nfa.NFA{c.Rhs.Lang}, c.Lhs) {
+				if d := nfa.Determinize(m); big == nil || d.NumStates() > big.NumStates() {
+					big = d
+				}
 			}
 		}
+	}
+	if big == nil {
+		return rep, fmt.Errorf("hotpath: warp/secure has no constants")
+	}
+	var minStates int
+	rep.Rows = append(rep.Rows, hotpathMeasure("minimize", 10, func() {
+		minStates = big.Minimize().NumStates()
 	}))
-	if solveErr != nil {
-		return rep, solveErr
+	if minStates == 0 || minStates > big.NumStates() {
+		return rep, fmt.Errorf("hotpath: minimized %d states to %d", big.NumStates(), minStates)
+	}
+
+	// corpus-solve: the realistic end-to-end mix — every constraint
+	// system of the 16 ordinary Figure 12 defects solved for its inputs,
+	// caching disabled, timing and allocation-counting only the solves.
+	// secure-solve is the same for warp/secure alone.
+	systems, err := CorpusSystems(true)
+	if err != nil {
+		return rep, err
+	}
+	for _, w := range []struct {
+		name    string
+		systems []*symexec.PathSystem
+	}{{"corpus-solve", systems}, {"secure-solve", secureSystems}} {
+		var solveErr error
+		rep.Rows = append(rep.Rows, hotpathMeasure(w.name, 2, func() {
+			for _, ps := range w.systems {
+				if _, err := core.SolveFor(ps.Sys, ps.Inputs, core.Options{}); err != nil {
+					solveErr = fmt.Errorf("%s: %w", ps.Sink.Kind, err)
+					return
+				}
+			}
+		}))
+		if solveErr != nil {
+			return rep, solveErr
+		}
 	}
 	return rep, nil
+}
+
+// constLangs appends the language of every constant e mentions.
+func constLangs(out []*nfa.NFA, e core.Expr) []*nfa.NFA {
+	switch e := e.(type) {
+	case *core.Const:
+		return append(out, e.Lang)
+	case core.Cat:
+		return constLangs(constLangs(out, e.Left), e.Right)
+	case core.Or:
+		return constLangs(constLangs(out, e.Left), e.Right)
+	}
+	return out
 }
 
 // FormatHotpath renders the hot-path report, one row per workload, with
@@ -220,9 +271,18 @@ func FormatHotpath(f HotpathFile) string {
 		out += fmt.Sprintf("  %-14s %12s %12d %14d",
 			row.Name, wall, row.Allocs/int64(row.Iters), row.Bytes/int64(row.Iters))
 		if f.Baseline != nil {
-			out += fmt.Sprintf(" %8.1fx %8.1fx", f.Speedup[row.Name], f.AllocRatio[row.Name])
+			out += " " + ratio(f.Speedup, row.Name) + " " + ratio(f.AllocRatio, row.Name)
 		}
 		out += "\n"
 	}
 	return out
+}
+
+// ratio renders a baseline ratio, or a dash where there is none: the
+// baseline lacks the row, or the current row has nothing to divide by.
+func ratio(ratios map[string]float64, name string) string {
+	if r, ok := ratios[name]; ok {
+		return fmt.Sprintf("%8.1fx", r)
+	}
+	return fmt.Sprintf("%9s", "-")
 }

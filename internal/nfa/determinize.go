@@ -1,10 +1,6 @@
 package nfa
 
-import (
-	"encoding/binary"
-
-	"dprle/internal/budget"
-)
+import "dprle/internal/budget"
 
 // DFA is a deterministic, complete automaton over alphabet atoms. Each state
 // has exactly one outgoing transition per atom class, and the atom classes
@@ -140,84 +136,6 @@ func (d *DFA) IsEmpty() bool {
 		}
 	}
 	return true
-}
-
-// Minimize returns the canonical minimal DFA for L(d), computed by Moore's
-// partition-refinement algorithm over the DFA's atom classes.
-func (d *DFA) Minimize() *DFA {
-	m, _ := d.MinimizeB(nil) // nil budget cannot fail (see budget.Budget)
-	return m
-}
-
-// MinimizeB is Minimize under a resource budget, checkpointing once per
-// refinement round (each round is O(states · atoms)).
-func (d *DFA) MinimizeB(bud *budget.Budget) (*DFA, error) {
-	n := d.NumStates()
-	// Initial partition: accepting vs non-accepting.
-	class := make([]int, n)
-	numClasses := 1
-	anyAccept := false
-	for _, a := range d.accept {
-		if a {
-			anyAccept = true
-		}
-	}
-	if anyAccept {
-		numClasses = 2
-		for s := 0; s < n; s++ {
-			if d.accept[s] {
-				class[s] = 1
-			}
-		}
-	}
-	for {
-		if err := bud.Check("nfa.minimize"); err != nil {
-			return nil, err
-		}
-		// Signature of a state: (class, successor classes per atom),
-		// varint-encoded — one key allocation per state, no formatting.
-		sig := make([]string, n)
-		var sb []byte
-		for s := 0; s < n; s++ {
-			sb = binary.AppendUvarint(sb[:0], uint64(class[s]))
-			for _, t := range d.trans[s] {
-				sb = binary.AppendUvarint(sb, uint64(class[t]))
-			}
-			sig[s] = string(sb)
-		}
-		next := map[string]int{}
-		newClass := make([]int, n)
-		for s := 0; s < n; s++ {
-			id, ok := next[sig[s]]
-			if !ok {
-				id = len(next)
-				next[sig[s]] = id
-			}
-			newClass[s] = id
-		}
-		if len(next) == numClasses {
-			break
-		}
-		numClasses = len(next)
-		class = newClass
-	}
-	trans := make([][]int, numClasses)
-	accept := make([]bool, numClasses)
-	done := make([]bool, numClasses)
-	for s := 0; s < n; s++ {
-		c := class[s]
-		if done[c] {
-			continue
-		}
-		done[c] = true
-		row := make([]int, len(d.atoms))
-		for ai, t := range d.trans[s] {
-			row[ai] = class[t]
-		}
-		trans[c] = row
-		accept[c] = d.accept[s]
-	}
-	return &DFA{atoms: d.atoms, atomOf: d.atomOf, trans: trans, accept: accept, start: class[d.start]}, nil
 }
 
 // ToNFA converts d back to a (single-start, single-final) NFA, introducing a

@@ -144,10 +144,6 @@ func TestPoolTaskMatrix(t *testing.T) {
 	if got := panics.Load(); got != perKind {
 		t.Errorf("panic sink fired %d times, want %d", got, perKind)
 	}
-	if got := releases.Load(); got != int64(perKind*len(kinds)) {
-		t.Errorf("releases = %d, want %d (exactly once per task)", got, perKind*len(kinds))
-	}
-
 	// The pool must survive all of it: a fresh task still runs.
 	probe := &task{ctx: context.Background(), done: make(chan outcome, 1), release: func() {}}
 	probe.do = func(ctx context.Context) (int, any) { return http.StatusOK, nil }
@@ -163,7 +159,12 @@ func TestPoolTaskMatrix(t *testing.T) {
 		t.Fatal("probe after matrix never completed")
 	}
 
+	// A worker releases its task just after delivering the outcome; close
+	// returns only once every release has fired.
 	p.close()
+	if got := releases.Load(); got != int64(perKind*len(kinds)) {
+		t.Errorf("releases = %d, want %d (exactly once per task)", got, perKind*len(kinds))
+	}
 	checkGoroutines(t, before)
 }
 

@@ -4,7 +4,7 @@
 // policy-clamped resource budget, and answered with structured JSON.
 //
 // The engine's worst case is inherently exponential (the paper's `secure`
-// benchmark takes minutes on a few constraints), so robustness lives in
+// benchmark took minutes on a few constraints), so robustness lives in
 // this layer, not the solver:
 //
 //   - Panic isolation: a panic inside one request's solve is recovered at

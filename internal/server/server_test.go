@@ -297,10 +297,11 @@ func TestReadyzFlipsOnDrain(t *testing.T) {
 }
 
 func TestStatuszCounters(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	postSolve(t, ts, "text/plain", satSource, nil)
 	postSolve(t, ts, "text/plain", unsatSource, nil)
 	postSolve(t, ts, "text/plain", "const broken", nil)
+	waitReleased(t, s)
 
 	resp, err := http.Get(ts.URL + "/statusz")
 	if err != nil {
@@ -351,12 +352,27 @@ func TestClientDisconnectCancelsSolve(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	waitReleased(t, s)
 	if got := s.inflight.Load(); got != 0 {
-		// inflight drops when the worker releases; give it a beat.
-		time.Sleep(100 * time.Millisecond)
-		if got = s.inflight.Load(); got != 0 {
-			t.Errorf("inflight = %d after disconnect, want 0", got)
-		}
+		t.Errorf("inflight = %d after disconnect, want 0", got)
+	}
+}
+
+// waitReleased waits until every admitted request has been released. A
+// worker releases its request just after handing over the answer, so a
+// client can see the response first. Callers must admit no new request
+// while waiting.
+func waitReleased(t *testing.T, s *Server) {
+	t.Helper()
+	released := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(released)
+	}()
+	select {
+	case <-released:
+	case <-time.After(30 * time.Second):
+		t.Fatal("admitted requests were never released")
 	}
 }
 

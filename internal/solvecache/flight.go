@@ -27,9 +27,10 @@ func NewFlight() *Flight {
 
 // Call is one in-flight computation.
 type Call struct {
-	done chan struct{}
-	val  any
-	err  error
+	done      chan struct{}
+	val       any
+	err       error
+	followers int // Joins that found the call in flight; guarded by Flight.mu
 }
 
 // Done is closed when the leader finishes the call.
@@ -51,6 +52,7 @@ func (f *Flight) Join(key string) (c *Call, leader bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.calls[key]; ok {
+		c.followers++
 		return c, false
 	}
 	c = &Call{done: make(chan struct{})}

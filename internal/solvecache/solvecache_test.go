@@ -2,6 +2,7 @@ package solvecache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,14 +114,19 @@ func TestFlightCollapses(t *testing.T) {
 			}
 		}()
 	}
-	// Let followers pile up behind the leader, then release it.
+	// Release the leader only once all n-1 followers have joined its
+	// call; a follower arriving after Finish would lead a fresh call.
 	for {
 		f.mu.Lock()
-		inflight := len(f.calls)
+		joined := 0
+		if c, ok := f.calls["k"]; ok {
+			joined = c.followers
+		}
 		f.mu.Unlock()
-		if inflight == 1 {
+		if joined == n-1 {
 			break
 		}
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
