@@ -23,8 +23,11 @@ chaos:
 # Static analysis: go vet plus the repo-specific invariant suite
 # (DESIGN.md §7), including the interprocedural layer (locksafe, nilness
 # N3, budgetflow F3). Both exit non-zero on findings, failing the build.
+# perfbench is a separate module the root build never compiles, so it is
+# vetted and built on its own (the `lint` CI job mirrors this).
 lint:
 	$(GO) vet ./...
+	cd perfbench && export GOWORK=off GOFLAGS=-mod=mod GOPROXY=off && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 	$(GO) run ./cmd/dprlelint ./...
 
 # lint plus per-analyzer statistics (finding counts, wall time, and the

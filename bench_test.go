@@ -23,6 +23,7 @@
 package dprle_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -34,16 +35,24 @@ import (
 	"dprle/internal/regex"
 )
 
+// must unwraps a *B result computed under a nil budget, which cannot trip.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // BenchmarkFigure4CI runs the paper's Fig. 3 algorithm on the Fig. 4 inputs:
 // c1 = "nid_", c2 = Σ*[0-9], c3 = Σ*'Σ*.
 func BenchmarkFigure4CI(b *testing.B) {
 	b.ReportAllocs()
-	c1 := nfa.Minimized(nfa.Literal("nid_"))
-	c2 := nfa.Minimized(regex.MustMatchLanguage(`[\d]+$`))
-	c3 := nfa.Minimized(regex.MustMatchLanguage(`'`))
+	c1 := must(nfa.MinimizedB(nil, nfa.Literal("nid_")))
+	c2 := must(nfa.MinimizedB(nil, regex.MustMatchLanguage(`[\d]+$`)))
+	c3 := must(nfa.MinimizedB(nil, regex.MustMatchLanguage(`'`)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sols := core.ConcatIntersect(c1, c2, c3)
+		sols, _, _ := core.ConcatIntersectB(nil, c1, c2, c3)
 		if len(sols) != 1 {
 			b.Fatalf("solutions = %d", len(sols))
 		}
@@ -247,7 +256,7 @@ func BenchmarkNFAIntersect(b *testing.B) {
 	a, c := benchMachines(32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nfa.Intersect(a, c)
+		must(nfa.IntersectB(nil, a, c))
 	}
 }
 
@@ -275,7 +284,7 @@ func BenchmarkNFAComplement(b *testing.B) {
 	a, _ := benchMachines(32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nfa.Complement(a)
+		must(nfa.ComplementB(nil, a))
 	}
 }
 
@@ -284,7 +293,7 @@ func BenchmarkNFASubset(b *testing.B) {
 	a, c := benchMachines(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !nfa.Subset(a, c) {
+		if !must(nfa.SubsetB(nil, a, c)) {
 			b.Fatal("subset should hold")
 		}
 	}
@@ -316,7 +325,7 @@ func BenchmarkMaximalize(b *testing.B) {
 		c3 := s.MustConst("c3", regex.MustMatchLanguage(`'`))
 		s.MustAdd(core.Var{Name: "v1"}, c1)
 		s.MustAdd(core.Cat{Left: c2, Right: core.Var{Name: "v1"}}, c3)
-		res, err := core.Solve(s, core.Options{NoMaximalize: true})
+		res, err := core.SolveCtx(context.Background(), s, core.Options{NoMaximalize: true})
 		if err != nil || !res.Sat() {
 			b.Fatal("setup failed")
 		}
@@ -325,7 +334,7 @@ func BenchmarkMaximalize(b *testing.B) {
 	s, raw := mk()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		full, err := core.Solve(s, core.Options{})
+		full, err := core.SolveCtx(context.Background(), s, core.Options{})
 		if err != nil || !full.Sat() {
 			b.Fatal("solve failed")
 		}

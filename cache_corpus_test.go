@@ -8,6 +8,7 @@ package dprle_test
 // smoke job: the benchmarks measure, the tests gate.
 
 import (
+	"context"
 	"testing"
 
 	"dprle/internal/core"
@@ -48,7 +49,7 @@ func TestCacheCorpusEquivalence(t *testing.T) {
 	// entry was keyed through canonicalization of *different* machine
 	// pointers and state numberings than the ones queried below.
 	for _, ps := range corpusSystems(t) {
-		if _, err := core.SolveFor(ps.Sys, ps.Inputs, warmOpts); err != nil {
+		if _, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, warmOpts); err != nil {
 			t.Fatalf("warming on %s: %v", ps.Sink.Kind, err)
 		}
 	}
@@ -56,11 +57,11 @@ func TestCacheCorpusEquivalence(t *testing.T) {
 
 	fresh := corpusSystems(t)
 	for _, ps := range fresh {
-		plain, err := core.SolveFor(ps.Sys, ps.Inputs, opts)
+		plain, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, opts)
 		if err != nil {
 			t.Fatalf("uncached solve on %s: %v", ps.Sink.Kind, err)
 		}
-		cached, err := core.SolveFor(ps.Sys, ps.Inputs, warmOpts)
+		cached, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, warmOpts)
 		if err != nil {
 			t.Fatalf("cached solve on %s: %v", ps.Sink.Kind, err)
 		}
@@ -87,11 +88,11 @@ func TestCacheCorpusEquivalence(t *testing.T) {
 		// the full solve, where every constraint is in scope. A shared bug
 		// in solve-and-store would survive the comparisons above but not
 		// this.
-		plainFull, err := core.Solve(ps.Sys, opts)
+		plainFull, err := core.SolveCtx(context.Background(), ps.Sys, opts)
 		if err != nil {
 			t.Fatalf("uncached full solve on %s: %v", ps.Sink.Kind, err)
 		}
-		cachedFull, err := core.Solve(ps.Sys, warmOpts)
+		cachedFull, err := core.SolveCtx(context.Background(), ps.Sys, warmOpts)
 		if err != nil {
 			t.Fatalf("cached full solve on %s: %v", ps.Sink.Kind, err)
 		}
@@ -160,7 +161,7 @@ func BenchmarkCacheCold(b *testing.B) {
 		systems := corpusSystems(b)
 		b.StartTimer()
 		for _, ps := range systems {
-			if _, err := core.SolveFor(ps.Sys, ps.Inputs, opts); err != nil {
+			if _, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -173,7 +174,7 @@ func BenchmarkCacheWarm(b *testing.B) {
 	b.ReportAllocs()
 	opts := core.Options{Cache: solvecache.New(solvecache.Config{})}
 	for _, ps := range corpusSystems(b) {
-		if _, err := core.SolveFor(ps.Sys, ps.Inputs, opts); err != nil {
+		if _, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,7 +184,7 @@ func BenchmarkCacheWarm(b *testing.B) {
 		systems := corpusSystems(b)
 		b.StartTimer()
 		for _, ps := range systems {
-			if _, err := core.SolveFor(ps.Sys, ps.Inputs, opts); err != nil {
+			if _, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

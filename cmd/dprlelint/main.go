@@ -4,7 +4,7 @@
 //
 //	go run ./cmd/dprlelint ./...          # whole module
 //	go run ./cmd/dprlelint ./internal/nfa # one package
-//	dprlelint -only budgetcheck ./...     # a subset of analyzers
+//	dprlelint -only budgetflow ./...      # a subset of analyzers
 //	dprlelint -json ./...                 # machine-readable findings
 //	dprlelint -fix ./...                  # apply suggested fixes in place
 //	dprlelint -list                       # the suite, one line each

@@ -70,12 +70,12 @@ func TestUnbudgetedDeterminizeFails(t *testing.T) {
 	}
 	found := false
 	for _, f := range findings {
-		if f.Analyzer == "budgetcheck" && strings.Contains(f.Message, "un-budgeted Determinize") {
+		if f.Analyzer == "budgetflow" && strings.Contains(f.Message, "un-budgeted Determinize") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("expected a budgetcheck finding for un-budgeted Determinize, got %v", findings)
+		t.Fatalf("expected a budgetflow finding for un-budgeted Determinize, got %v", findings)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package nfa is a skeletal model of dprle/internal/nfa for the
 // regression fixture: just enough of the Determinize/DeterminizeB sibling
-// pair for budgetcheck to recognize the convention.
+// pair for budgetflow to recognize the convention.
 package nfa
 
 import "budget"

@@ -10,7 +10,7 @@ import (
 )
 
 func SolveB(bud *budget.Budget, m *nfa.NFA) (*nfa.DFA, error) {
-	return nfa.Determinize(m), nil // budgetcheck must flag this line
+	return nfa.Determinize(m), nil // budgetflow must flag this line
 }
 
 // CloneMachine seeds the guaranteed nil dereference the nilness analyzer

@@ -7,10 +7,8 @@ package analyzers
 
 import (
 	"dprle/internal/analysis"
-	"dprle/internal/analyzers/budgetcheck"
 	"dprle/internal/analyzers/budgetflow"
 	"dprle/internal/analyzers/cachekey"
-	"dprle/internal/analyzers/ctxbudget"
 	"dprle/internal/analyzers/locksafe"
 	"dprle/internal/analyzers/mapiterorder"
 	"dprle/internal/analyzers/nilness"
@@ -22,10 +20,8 @@ import (
 // All returns every analyzer in the suite, sorted by name.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		budgetcheck.Analyzer,
 		budgetflow.Analyzer,
 		cachekey.Analyzer,
-		ctxbudget.Analyzer,
 		locksafe.Analyzer,
 		mapiterorder.Analyzer,
 		nilness.Analyzer,

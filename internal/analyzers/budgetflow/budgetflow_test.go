@@ -8,5 +8,5 @@ import (
 )
 
 func TestBudgetflow(t *testing.T) {
-	analysistest.Run(t, "testdata", budgetflow.Analyzer, "a", "f3")
+	analysistest.Run(t, "testdata", budgetflow.Analyzer, "a", "check", "ctx", "f3")
 }

@@ -1,4 +1,4 @@
-package a
+package check
 
 import "budget"
 
@@ -17,9 +17,9 @@ func DeterminizeB(bud *budget.Budget, x int) (int, error) {
 	return x + 1, nil
 }
 
-// R1: a budget-threaded function must not call the un-budgeted sibling.
+// F2: a budget-threaded function must not call the un-budgeted sibling.
 func SolveB(bud *budget.Budget, x int) (int, error) {
-	y := Determinize(x) // want `call to un-budgeted Determinize inside a budget-threaded function; use DeterminizeB`
+	y := Determinize(x) // want `un-budgeted Determinize reached on a path where bud may be live; use DeterminizeB`
 	return y, nil
 }
 
@@ -61,7 +61,7 @@ func (m M) MinimizeB(bud *budget.Budget) (int, error) {
 }
 
 func ShrinkB(bud *budget.Budget, m M) (int, error) {
-	v := m.Minimize() // want `call to un-budgeted Minimize inside a budget-threaded function; use MinimizeB`
+	v := m.Minimize() // want `un-budgeted Minimize reached on a path where bud may be live; use MinimizeB`
 	_ = v
 	return m.MinimizeB(bud)
 }
@@ -73,20 +73,30 @@ type solver struct {
 }
 
 func (s *solver) run(x int) (int, error) {
-	y := Determinize(x) // want `call to un-budgeted Determinize inside a budget-threaded function; use DeterminizeB`
+	y := Determinize(x) // want `un-budgeted Determinize reached on a path where s.bud may be live; use DeterminizeB`
 	_ = y
 	return DeterminizeB(s.bud, x)
 }
 
 // The escape hatch suppresses a finding, but only with a reason.
 func IgnoredB(bud *budget.Budget, x int) int {
-	//lint:ignore dprlelint/budgetcheck measuring the unbudgeted baseline on purpose
+	//lint:ignore dprlelint/budgetflow measuring the unbudgeted baseline on purpose
 	y := Determinize(x)
 	return y
 }
 
 func NotIgnoredB(bud *budget.Budget, x int) int {
-	//lint:ignore dprlelint/budgetcheck
-	y := Determinize(x) // want `call to un-budgeted Determinize`
+	//lint:ignore dprlelint/budgetflow
+	y := Determinize(x) // want `un-budgeted Determinize`
 	return y
+}
+
+// A budget captured by a closure is outside the nilness lattice; it stays
+// live wherever it is in scope, including inside the closure itself.
+func CapturedB(bud *budget.Budget, x int) int {
+	retry := func() int {
+		_ = bud.Check("retry")
+		return Determinize(x) // want `un-budgeted Determinize reached on a path where bud may be live`
+	}
+	return retry() + Determinize(x) // want `un-budgeted Determinize reached on a path where bud may be live`
 }

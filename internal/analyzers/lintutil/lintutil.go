@@ -1,6 +1,6 @@
 // Package lintutil holds type- and AST-level predicates shared by the
 // dprlelint analyzers: recognizing the solver's *budget.Budget type, the
-// *B budgeted-sibling convention, and budget-threaded functions.
+// *B budgeted-sibling convention, and budget-carrying types.
 package lintutil
 
 import (
@@ -30,59 +30,30 @@ func IsBudgetPtr(t types.Type) bool {
 	return path.Base(obj.Pkg().Path()) == "budget"
 }
 
-// HasBudgetParam reports whether the signature takes a *budget.Budget
-// anywhere in its parameter list.
-func HasBudgetParam(sig *types.Signature) bool {
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if IsBudgetPtr(params.At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
 // CarriesBudget reports whether a value of type t gives access to a
 // budget: it is *budget.Budget itself, or a struct (possibly behind a
 // pointer) with a *budget.Budget field.
 func CarriesBudget(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if IsBudgetPtr(t) {
-		return true
-	}
+	return t != nil && (IsBudgetPtr(t) || BudgetField(t) != "")
+}
+
+// BudgetField names the first *budget.Budget field of a struct type
+// (possibly behind a pointer), or returns "" when there is none — the
+// solver's maximizer/gciSolver pattern of a budget carried by a receiver.
+func BudgetField(t types.Type) string {
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	st, ok := t.Underlying().(*types.Struct)
 	if !ok {
-		return false
+		return ""
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		if IsBudgetPtr(st.Field(i).Type()) {
-			return true
+			return st.Field(i).Name()
 		}
 	}
-	return false
-}
-
-// IsBudgetThreaded reports whether fn is part of the budget discipline: it
-// takes a *budget.Budget parameter, or it is a method on a type carrying a
-// budget field (the solver's maximizer/gciSolver pattern).
-func IsBudgetThreaded(info *types.Info, fn *ast.FuncDecl) bool {
-	obj, ok := info.Defs[fn.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig := obj.Type().(*types.Signature)
-	if HasBudgetParam(sig) {
-		return true
-	}
-	if recv := sig.Recv(); recv != nil {
-		return CarriesBudget(recv.Type())
-	}
-	return false
+	return ""
 }
 
 // BudgetedSibling returns the *B variant of callee, if one exists by the

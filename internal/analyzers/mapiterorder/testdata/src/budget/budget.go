@@ -1,5 +1,5 @@
 // Package budget is a minimal stand-in for dprle/internal/budget (see the
-// budgetcheck fixture of the same name).
+// budgetflow fixture of the same name).
 package budget
 
 type Budget struct{ remaining int64 }

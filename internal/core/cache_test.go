@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -69,7 +70,7 @@ func TestCacheHitEquivalence(t *testing.T) {
 	cache := solvecache.New(solvecache.Config{})
 	opts := Options{Cache: cache}
 
-	cold, err := Solve(disjSystem("v1", "v2", "c1", "c2", "c3"), opts)
+	cold, err := SolveCtx(context.Background(), disjSystem("v1", "v2", "c1", "c2", "c3"), opts)
 	if err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
@@ -82,7 +83,7 @@ func TestCacheHitEquivalence(t *testing.T) {
 	}
 
 	s2 := disjSystem("v1", "v2", "c1", "c2", "c3")
-	warm, err := Solve(s2, opts)
+	warm, err := SolveCtx(context.Background(), s2, opts)
 	if err != nil {
 		t.Fatalf("warm solve: %v", err)
 	}
@@ -106,14 +107,14 @@ func TestCacheRenameInvariant(t *testing.T) {
 	cache := solvecache.New(solvecache.Config{})
 	opts := Options{Cache: cache}
 	orig := disjSystem("v1", "v2", "c1", "c2", "c3")
-	cold, err := Solve(orig, opts)
+	cold, err := SolveCtx(context.Background(), orig, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hitsBefore := cache.Stats().Hits
 
 	renamed := disjSystem("alpha", "beta", "ka", "kb", "kc")
-	warm, err := Solve(renamed, opts)
+	warm, err := SolveCtx(context.Background(), renamed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestCacheRenameInvariant(t *testing.T) {
 func TestCacheContentSensitive(t *testing.T) {
 	cache := solvecache.New(solvecache.Config{})
 	opts := Options{Cache: cache, RawConstants: true}
-	if _, err := Solve(disjSystem("v1", "v2", "c1", "c2", "c3"), opts); err != nil {
+	if _, err := SolveCtx(context.Background(), disjSystem("v1", "v2", "c1", "c2", "c3"), opts); err != nil {
 		t.Fatal(err)
 	}
 	hitsBefore := cache.Stats().Hits
@@ -146,7 +147,7 @@ func TestCacheContentSensitive(t *testing.T) {
 	s.MustAdd(Var{"v1"}, c1)
 	s.MustAdd(Var{"v2"}, c2)
 	s.MustAdd(Cat{Left: Var{"v1"}, Right: Var{"v2"}}, c3)
-	res, err := Solve(s, opts)
+	res, err := SolveCtx(context.Background(), s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +175,12 @@ func TestCacheUnsatCached(t *testing.T) {
 	}
 	cache := solvecache.New(solvecache.Config{})
 	opts := Options{Cache: cache}
-	res, err := Solve(build(), opts)
+	res, err := SolveCtx(context.Background(), build(), opts)
 	if err != nil || res.Sat() {
 		t.Fatalf("expected unsat without error, got sat=%t err=%v", res.Sat(), err)
 	}
 	hitsBefore := cache.Stats().Hits
-	res2, err := Solve(build(), opts)
+	res2, err := SolveCtx(context.Background(), build(), opts)
 	if err != nil || res2.Sat() {
 		t.Fatalf("warm unsat solve: sat=%t err=%v", res2.Sat(), err)
 	}
@@ -194,7 +195,7 @@ func TestCacheUnsatCached(t *testing.T) {
 func TestCacheNeverStoresDegraded(t *testing.T) {
 	cache := solvecache.New(solvecache.Config{})
 	opts := Options{Cache: cache, RawConstants: true, Limits: budget.Limits{MaxStates: 10}}
-	_, err := Solve(disjSystem("v1", "v2", "c1", "c2", "c3"), opts)
+	_, err := SolveCtx(context.Background(), disjSystem("v1", "v2", "c1", "c2", "c3"), opts)
 	var ex *budget.Exhausted
 	if !errors.As(err, &ex) {
 		t.Fatalf("tiny budget did not trip: %v", err)
@@ -205,7 +206,7 @@ func TestCacheNeverStoresDegraded(t *testing.T) {
 
 	opts.Limits = budget.Limits{}
 	s := disjSystem("v1", "v2", "c1", "c2", "c3")
-	res, err := Solve(s, opts)
+	res, err := SolveCtx(context.Background(), s, opts)
 	if err != nil {
 		t.Fatalf("healthy solve after degraded one: %v", err)
 	}
@@ -229,7 +230,7 @@ func TestCacheFillFault(t *testing.T) {
 	s := disjSystem("v1", "v2", "c1", "c2", "c3")
 
 	disarm := faultinject.Arm(faultinject.CacheFill, 1)
-	res, err := Solve(s, opts)
+	res, err := SolveCtx(context.Background(), s, opts)
 	disarm()
 	var ex *budget.Exhausted
 	if !errors.As(err, &ex) || ex.Kind != budget.Injected {
@@ -248,14 +249,14 @@ func TestCacheFillFault(t *testing.T) {
 	}
 
 	// The next solve recomputes (miss), stores, and the one after hits.
-	if _, err := Solve(disjSystem("v1", "v2", "c1", "c2", "c3"), opts); err != nil {
+	if _, err := SolveCtx(context.Background(), disjSystem("v1", "v2", "c1", "c2", "c3"), opts); err != nil {
 		t.Fatalf("post-fault solve: %v", err)
 	}
 	if st := cache.Stats(); st.Puts == 0 {
 		t.Fatal("post-fault solve stored nothing")
 	}
 	hits := cache.Stats().Hits
-	if _, err := Solve(disjSystem("v1", "v2", "c1", "c2", "c3"), opts); err != nil {
+	if _, err := SolveCtx(context.Background(), disjSystem("v1", "v2", "c1", "c2", "c3"), opts); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Stats().Hits == hits {
@@ -268,12 +269,12 @@ func TestCacheFillFault(t *testing.T) {
 func TestSolveForCache(t *testing.T) {
 	cache := solvecache.New(solvecache.Config{})
 	opts := Options{Cache: cache}
-	res, err := SolveFor(disjSystem("v1", "v2", "c1", "c2", "c3"), []string{"v1"}, opts)
+	res, err := SolveForCtx(context.Background(), disjSystem("v1", "v2", "c1", "c2", "c3"), []string{"v1"}, opts)
 	if err != nil || !res.Sat() {
 		t.Fatalf("cold SolveFor: sat=%t err=%v", res.Sat(), err)
 	}
 	hitsBefore := cache.Stats().Hits
-	res2, err := SolveFor(disjSystem("v1", "v2", "c1", "c2", "c3"), []string{"v1"}, opts)
+	res2, err := SolveForCtx(context.Background(), disjSystem("v1", "v2", "c1", "c2", "c3"), []string{"v1"}, opts)
 	if err != nil || !res2.Sat() {
 		t.Fatalf("warm SolveFor: sat=%t err=%v", res2.Sat(), err)
 	}
@@ -281,7 +282,7 @@ func TestSolveForCache(t *testing.T) {
 		t.Fatal("SolveFor missed the component cache")
 	}
 	// Full-solve hits on components stored by SolveFor and vice versa.
-	full, err := Solve(disjSystem("v1", "v2", "c1", "c2", "c3"), opts)
+	full, err := SolveCtx(context.Background(), disjSystem("v1", "v2", "c1", "c2", "c3"), opts)
 	if err != nil || !full.Sat() {
 		t.Fatalf("full solve after SolveFor: sat=%t err=%v", full.Sat(), err)
 	}
@@ -303,7 +304,7 @@ func TestCacheConcurrentSolves(t *testing.T) {
 			} else {
 				s = disjSystem("alpha", "beta", "ka", "kb", "kc")
 			}
-			res, err := Solve(s, Options{Cache: cache})
+			res, err := SolveCtx(context.Background(), s, Options{Cache: cache})
 			if err != nil {
 				t.Errorf("solver %d: %v", i, err)
 				return
@@ -331,12 +332,12 @@ func TestCacheFreeVarPath(t *testing.T) {
 	}
 	cache := solvecache.New(solvecache.Config{})
 	opts := Options{Cache: cache}
-	cold, err := Solve(build("v1"), opts)
+	cold, err := SolveCtx(context.Background(), build("v1"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hitsBefore := cache.Stats().Hits
-	warm, err := Solve(build("other"), opts) // renamed: still the same reduction
+	warm, err := SolveCtx(context.Background(), build("other"), opts) // renamed: still the same reduction
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ type CITrace struct {
 	Seams []nfa.TaggedEdge
 }
 
-// ConcatIntersect solves the CI problem
+// ConcatIntersectB solves the CI problem
 //
 //	v1 ⊆ c1,  v2 ⊆ c2,  v1·v2 ⊆ c3
 //
@@ -33,28 +33,11 @@ type CITrace struct {
 // as the only final state (induce_from_final) and v2 is M5 with q_b as the
 // only start state (induce_from_start). Solutions in which either machine is
 // empty are rejected, and solutions with identical language pairs are
-// deduplicated.
-func ConcatIntersect(c1, c2, c3 *nfa.NFA) []CISolution {
-	sols, _ := ConcatIntersectTrace(c1, c2, c3)
-	return sols
-}
-
-// ConcatIntersectB is ConcatIntersect under a resource budget. On
-// exhaustion it returns the (verified, nonempty) solutions sliced out
-// before the trip together with the budget's *Exhausted error.
-func ConcatIntersectB(bud *budget.Budget, c1, c2, c3 *nfa.NFA) ([]CISolution, error) {
-	sols, _, err := concatIntersectB(bud, c1, c2, c3)
-	return sols, err
-}
-
-// ConcatIntersectTrace is ConcatIntersect, additionally returning the
-// intermediate machines for inspection (Fig. 4 reproduces them).
-func ConcatIntersectTrace(c1, c2, c3 *nfa.NFA) ([]CISolution, *CITrace) {
-	sols, trace, _ := concatIntersectB(nil, c1, c2, c3) // nil budget cannot fail (see budget.Budget)
-	return sols, trace
-}
-
-func concatIntersectB(bud *budget.Budget, c1, c2, c3 *nfa.NFA) ([]CISolution, *CITrace, error) {
+// deduplicated. The returned trace holds the intermediate machines for
+// inspection (Fig. 4 reproduces them). On budget exhaustion it returns the
+// (verified, nonempty) solutions sliced out before the trip together with
+// the budget's *Exhausted error.
+func ConcatIntersectB(bud *budget.Budget, c1, c2, c3 *nfa.NFA) ([]CISolution, *CITrace, error) {
 	const seamTag = 0
 	m4 := nfa.ConcatTagged(c1, c2, seamTag)
 	m5i, err := nfa.IntersectB(bud, m4, c3)

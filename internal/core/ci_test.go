@@ -11,18 +11,18 @@ import (
 // c3 = Σ*'Σ* (queries containing a single quote). The paper draws the
 // minimal machines, so the fixture canonicalizes the regex-compiled inputs;
 // this makes the seam count (and hence the disjunct count) match Fig. 4
-// exactly. ConcatIntersect itself is structure-faithful and would otherwise
+// exactly. ConcatIntersectB itself is structure-faithful and would otherwise
 // report one disjunct per surviving seam edge of the Thompson machines.
 func fig4Inputs() (c1, c2, c3 *nfa.NFA) {
 	c1 = nfa.Literal("nid_")
-	c2 = nfa.Minimized(regex.MustMatchLanguage(`[\d]+$`))
-	c3 = nfa.Minimized(regex.MustMatchLanguage(`'`))
+	c2 = must(nfa.MinimizedB(nil, regex.MustMatchLanguage(`[\d]+$`)))
+	c3 = must(nfa.MinimizedB(nil, regex.MustMatchLanguage(`'`)))
 	return
 }
 
 func TestFigure4Pipeline(t *testing.T) {
 	c1, c2, c3 := fig4Inputs()
-	sols, trace := ConcatIntersectTrace(c1, c2, c3)
+	sols, trace, _ := ConcatIntersectB(nil, c1, c2, c3)
 
 	// M4 recognizes c1·c2 and carries exactly one seam tag.
 	if !trace.M4.Accepts("nid_9") || trace.M4.Accepts("nid_") {
@@ -59,7 +59,7 @@ func TestFigure4Pipeline(t *testing.T) {
 			t.Errorf("V2 should reject %q", w)
 		}
 	}
-	want := nfa.Intersect(c2, c3)
+	want := must(nfa.IntersectB(nil, c2, c3))
 	if !nfa.Equivalent(v2, want) {
 		t.Fatal("V2 should be exactly c2 ∩ c3 here")
 	}
@@ -67,16 +67,16 @@ func TestFigure4Pipeline(t *testing.T) {
 
 func TestCICorrectnessProperties(t *testing.T) {
 	c1, c2, c3 := fig4Inputs()
-	sols := ConcatIntersect(c1, c2, c3)
+	sols, _, _ := ConcatIntersectB(nil, c1, c2, c3)
 	// Satisfying (paper §3.3, condition 2).
 	for i, s := range sols {
-		if !nfa.Subset(s.V1, c1) {
+		if !must(nfa.SubsetB(nil, s.V1, c1)) {
 			t.Errorf("solution %d: V1 ⊄ c1", i)
 		}
-		if !nfa.Subset(s.V2, c2) {
+		if !must(nfa.SubsetB(nil, s.V2, c2)) {
 			t.Errorf("solution %d: V2 ⊄ c2", i)
 		}
-		if !nfa.Subset(nfa.Concat(s.V1, s.V2), c3) {
+		if !must(nfa.SubsetB(nil, nfa.Concat(s.V1, s.V2), c3)) {
 			t.Errorf("solution %d: V1·V2 ⊄ c3", i)
 		}
 	}
@@ -88,14 +88,14 @@ func TestCICorrectnessProperties(t *testing.T) {
 
 func TestCIEmptyIntersection(t *testing.T) {
 	// c3 requires a quote but c1·c2 cannot produce one.
-	sols := ConcatIntersect(nfa.Literal("abc"), nfa.Literal("def"), regex.MustMatchLanguage("'"))
+	sols, _, _ := ConcatIntersectB(nil, nfa.Literal("abc"), nfa.Literal("def"), regex.MustMatchLanguage("'"))
 	if len(sols) != 0 {
 		t.Fatalf("solutions = %d, want 0", len(sols))
 	}
 }
 
 func TestCIEmptyOperand(t *testing.T) {
-	sols := ConcatIntersect(nfa.Empty(), nfa.Literal("a"), nfa.AnyString())
+	sols, _, _ := ConcatIntersectB(nil, nfa.Empty(), nfa.Literal("a"), nfa.AnyString())
 	if len(sols) != 0 {
 		t.Fatal("empty c1 admits no nonempty solutions")
 	}
@@ -106,7 +106,7 @@ func TestCISolutionCountBoundedByC3States(t *testing.T) {
 	c1 := nfa.Star(nfa.Class(nfa.Range('a', 'b')))
 	c2 := nfa.Star(nfa.Class(nfa.Range('a', 'b')))
 	c3 := regex.MustCompile("a{0,3}")
-	sols := ConcatIntersect(c1, c2, c3)
+	sols, _, _ := ConcatIntersectB(nil, c1, c2, c3)
 	if len(sols) == 0 {
 		t.Fatal("expected solutions")
 	}
@@ -124,7 +124,7 @@ func TestCIDisjunctiveSplits(t *testing.T) {
 	c1 := regex.MustCompile("x(yy)+")
 	c2 := regex.MustCompile("(yy)*z")
 	c3 := regex.MustCompile("xyyz|xyyyyz")
-	sols := ConcatIntersect(c1, c2, c3)
+	sols, _, _ := ConcatIntersectB(nil, c1, c2, c3)
 	if len(sols) == 0 {
 		t.Fatal("expected solutions")
 	}
@@ -133,8 +133,8 @@ func TestCIDisjunctiveSplits(t *testing.T) {
 	}
 	// Every (V1, V2) pair must be satisfying.
 	for _, s := range sols {
-		if !nfa.Subset(s.V1, c1) || !nfa.Subset(s.V2, c2) ||
-			!nfa.Subset(nfa.Concat(s.V1, s.V2), c3) {
+		if !must(nfa.SubsetB(nil, s.V1, c1)) || !must(nfa.SubsetB(nil, s.V2, c2)) ||
+			!must(nfa.SubsetB(nil, nfa.Concat(s.V1, s.V2), c3)) {
 			t.Fatal("satisfying violated")
 		}
 	}
@@ -158,7 +158,7 @@ func TestCIDeduplicatesIdenticalSolutions(t *testing.T) {
 	c1 := nfa.UnionAll(nfa.Literal("a"), nfa.Literal("a"), nfa.Literal("a"))
 	c2 := nfa.Literal("b")
 	c3 := nfa.Literal("ab")
-	sols := ConcatIntersect(c1, c2, c3)
+	sols, _, _ := ConcatIntersectB(nil, c1, c2, c3)
 	if len(sols) != 1 {
 		t.Fatalf("solutions = %d, want 1 after dedup", len(sols))
 	}

@@ -266,15 +266,9 @@ func (a Assignment) Eval(e Expr) *nfa.NFA {
 	panic(fmt.Sprintf("core: unknown expression type %T", e))
 }
 
-// Fingerprint returns a canonical identifier for the assignment restricted
+// FingerprintB returns a canonical identifier for the assignment restricted
 // to the given variables; two assignments agree on those variables (as
-// languages) iff their fingerprints are equal.
-func (a Assignment) Fingerprint(vars []string) string {
-	fp, _ := a.FingerprintB(nil, vars) // nil budget cannot fail (see budget.Budget)
-	return fp
-}
-
-// FingerprintB is Fingerprint under a resource budget: the per-variable
+// languages) iff their fingerprints are equal. The per-variable
 // canonicalization is accounted against bud.
 func (a Assignment) FingerprintB(bud *budget.Budget, vars []string) (string, error) {
 	var b strings.Builder

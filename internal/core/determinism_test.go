@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -97,7 +98,7 @@ func TestSolveDeterministic(t *testing.T) {
 			var want string
 			for i := 0; i < runs; i++ {
 				s := disjunctiveSystems(t)[name]
-				res, err := Solve(s, Options{})
+				res, err := SolveCtx(context.Background(), s, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

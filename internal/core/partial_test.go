@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dprle/internal/nfa"
 	"dprle/internal/regex"
+	"dprle/internal/solvecache"
 )
 
 // A system with two independent parts: a CI-group over (v1) and an
@@ -25,7 +27,7 @@ func partialSystem(t *testing.T) *System {
 
 func TestSolveForSubsetOfVars(t *testing.T) {
 	s := partialSystem(t)
-	res, err := SolveFor(s, []string{"v1"}, Options{})
+	res, err := SolveForCtx(context.Background(), s, []string{"v1"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestSolveForSubsetOfVars(t *testing.T) {
 
 func TestSolveForFreeVariable(t *testing.T) {
 	s := partialSystem(t)
-	res, err := SolveFor(s, []string{"w1"}, Options{})
+	res, err := SolveForCtx(context.Background(), s, []string{"w1"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestSolveForGroupBringsNeighbors(t *testing.T) {
 	s.MustAdd(Var{"x"}, c1)
 	s.MustAdd(Var{"y"}, c2)
 	s.MustAdd(Cat{Left: Var{"x"}, Right: Var{"y"}}, c3)
-	res, err := SolveFor(s, []string{"x"}, Options{})
+	res, err := SolveForCtx(context.Background(), s, []string{"x"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestSolveForUnsatGroup(t *testing.T) {
 	s.MustAdd(Var{"x"}, c1)
 	s.MustAdd(Var{"y"}, c2)
 	s.MustAdd(Cat{Left: Var{"x"}, Right: Var{"y"}}, c3)
-	res, err := SolveFor(s, []string{"x"}, Options{})
+	res, err := SolveForCtx(context.Background(), s, []string{"x"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestSolveForUnsatGroup(t *testing.T) {
 
 func TestSolveForUnknownVariable(t *testing.T) {
 	s := partialSystem(t)
-	res, err := SolveFor(s, []string{"nosuch"}, Options{})
+	res, err := SolveForCtx(context.Background(), s, []string{"nosuch"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,23 +115,35 @@ func TestSolveForUnknownVariable(t *testing.T) {
 }
 
 func TestSolveForAgreesWithSolve(t *testing.T) {
-	s := partialSystem(t)
-	full, err := Solve(s, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := SolveFor(s, []string{"v1", "w1", "w2"}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Assignments) != len(part.Assignments) {
-		t.Fatalf("assignment counts differ: %d vs %d", len(full.Assignments), len(part.Assignments))
-	}
-	// Note: SolveFor skips maximalization-collapse across groups; compare
-	// variable languages directly on the single assignment.
-	for _, v := range []string{"v1", "w1", "w2"} {
-		if !nfa.Equivalent(full.Assignments[0].Lookup(v), part.Assignments[0].Lookup(v)) {
-			t.Errorf("%s differs between Solve and SolveFor", v)
+	vars := []string{"v1", "w1", "w2"}
+	for _, minimize := range []bool{false, true} {
+		s := partialSystem(t)
+		full, err := SolveCtx(context.Background(), s, Options{Minimize: minimize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// SolveFor then Solve on one cache: the cached free-variable
+		// machine must be the one Solve builds itself under these options.
+		shared := Options{Minimize: minimize, Cache: solvecache.New(solvecache.Config{})}
+		part, err := SolveForCtx(context.Background(), s, vars, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := SolveCtx(context.Background(), s, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Assignments) != 1 || len(part.Assignments) != 1 || len(warm.Assignments) != 1 {
+			t.Fatalf("minimize=%t: assignment counts %d/%d/%d, want 1",
+				minimize, len(full.Assignments), len(part.Assignments), len(warm.Assignments))
+		}
+		for _, v := range vars {
+			if !nfa.Equivalent(full.Assignments[0].Lookup(v), part.Assignments[0].Lookup(v)) {
+				t.Errorf("minimize=%t: %s differs between Solve and SolveFor", minimize, v)
+			}
+		}
+		if got, want := warm.Assignments[0].Lookup("w1").NumStates(), full.Assignments[0].Lookup("w1").NumStates(); got != want {
+			t.Errorf("minimize=%t: w1 has %d states after SolveFor then Solve, %d from a fresh Solve", minimize, got, want)
 		}
 	}
 }

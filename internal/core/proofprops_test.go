@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -52,7 +53,8 @@ func TestPropCIRegular(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	f := func() bool {
 		c1, c2, c3 := randLang(r, 2), randLang(r, 2), randLang(r, 2)
-		for _, s := range ConcatIntersect(c1, c2, c3) {
+		sols, _, _ := ConcatIntersectB(nil, c1, c2, c3)
+		for _, s := range sols {
 			d1 := nfa.Determinize(s.V1)
 			d2 := nfa.Determinize(s.V2)
 			for _, w := range []string{"", "a", "b", "ab", "ba", "aab"} {
@@ -73,11 +75,12 @@ func TestPropCISatisfying(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	f := func() bool {
 		c1, c2, c3 := randLang(r, 2), randLang(r, 2), randLang(r, 2)
-		for _, s := range ConcatIntersect(c1, c2, c3) {
-			if !nfa.Subset(s.V1, c1) || !nfa.Subset(s.V2, c2) {
+		sols, _, _ := ConcatIntersectB(nil, c1, c2, c3)
+		for _, s := range sols {
+			if !must(nfa.SubsetB(nil, s.V1, c1)) || !must(nfa.SubsetB(nil, s.V2, c2)) {
 				return false
 			}
-			if !nfa.Subset(nfa.Concat(s.V1, s.V2), c3) {
+			if !must(nfa.SubsetB(nil, nfa.Concat(s.V1, s.V2), c3)) {
 				return false
 			}
 		}
@@ -93,7 +96,8 @@ func TestPropCIAllSolutions(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	f := func() bool {
 		c1, c2, c3 := randLang(r, 2), randLang(r, 2), randLang(r, 2)
-		return CheckAllSolutions(c1, c2, c3, ConcatIntersect(c1, c2, c3))
+		sols, _, _ := ConcatIntersectB(nil, c1, c2, c3)
+		return CheckAllSolutions(c1, c2, c3, sols)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -106,7 +110,7 @@ func TestPropCIFiniteBound(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	f := func() bool {
 		c1, c2, c3 := randLang(r, 2), randLang(r, 2), randLang(r, 2)
-		sols, trace := ConcatIntersectTrace(c1, c2, c3)
+		sols, trace, _ := ConcatIntersectB(nil, c1, c2, c3)
 		return len(sols) <= len(trace.Seams)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -127,7 +131,7 @@ func TestPropSolveSatisfying(t *testing.T) {
 		s.MustAdd(Var{"v1"}, c1)
 		s.MustAdd(Var{"v2"}, c2)
 		s.MustAdd(Cat{Left: Var{"v1"}, Right: Var{"v2"}}, c3)
-		res, err := Solve(s, Options{})
+		res, err := SolveCtx(context.Background(), s, Options{})
 		if err != nil {
 			return false
 		}
@@ -156,7 +160,7 @@ func TestPropSolveMaximal(t *testing.T) {
 		s.MustAdd(Var{"v1"}, c1)
 		s.MustAdd(Var{"v2"}, c2)
 		s.MustAdd(Cat{Left: Var{"v1"}, Right: Var{"v2"}}, c3)
-		res, err := Solve(s, Options{})
+		res, err := SolveCtx(context.Background(), s, Options{})
 		if err != nil {
 			return false
 		}
@@ -186,14 +190,14 @@ func TestPropUnsatMeansEmptyIntersection(t *testing.T) {
 		s.MustAdd(Var{"v1"}, c1)
 		s.MustAdd(Var{"v2"}, c2)
 		s.MustAdd(Cat{Left: Var{"v1"}, Right: Var{"v2"}}, c3)
-		res, err := Solve(s, Options{})
+		res, err := SolveCtx(context.Background(), s, Options{})
 		if err != nil {
 			return false
 		}
 		if res.Sat() {
 			return true
 		}
-		return nfa.Intersect(nfa.Concat(l1, l2), l3).IsEmpty()
+		return must(nfa.IntersectB(nil, nfa.Concat(l1, l2), l3)).IsEmpty()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -211,7 +215,7 @@ func TestPropSharedVariableSatisfying(t *testing.T) {
 		c2 := s.MustConst("c2", randLang(r, 2))
 		s.MustAdd(Cat{Left: Var{"va"}, Right: Var{"vb"}}, c1)
 		s.MustAdd(Cat{Left: Var{"vb"}, Right: Var{"vc"}}, c2)
-		res, err := Solve(s, Options{})
+		res, err := SolveCtx(context.Background(), s, Options{})
 		if err != nil {
 			return false
 		}
@@ -245,7 +249,7 @@ func TestPropSharedVariableCoverage(t *testing.T) {
 		c2 := s.MustConst("c2", l2)
 		s.MustAdd(Cat{Left: Var{"va"}, Right: Var{"vb"}}, c1)
 		s.MustAdd(Cat{Left: Var{"vb"}, Right: Var{"vc"}}, c2)
-		res, err := Solve(s, Options{})
+		res, err := SolveCtx(context.Background(), s, Options{})
 		if err != nil {
 			return false
 		}

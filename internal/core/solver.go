@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 
@@ -128,7 +129,7 @@ func (r *Result) SatFor(interest []string) bool {
 	return false
 }
 
-// Solve decides the system and returns all disjunctive maximal satisfying
+// SolveCtx decides the system and returns all disjunctive maximal satisfying
 // assignments, up to the configured bounds. The procedure follows Fig. 7:
 //
 //  1. Variables outside every CI-group are reduced directly: their language
@@ -143,13 +144,10 @@ func (r *Result) SatFor(interest []string) bool {
 // Because the constraint grammar (Fig. 2) only permits constants on
 // right-hand sides, group eliminations never unlock further reductions, so
 // one pass over the groups is complete.
-func Solve(s *System, opts Options) (*Result, error) {
-	return SolveCtx(context.Background(), s, opts)
-}
-
-// SolveCtx is Solve under a resource budget: the context's deadline and
-// cancellation, plus opts.Limits, bound the solve. On exhaustion the solver
-// degrades gracefully rather than running to completion:
+//
+// The context's deadline and cancellation, plus opts.Limits, bound the
+// solve. On exhaustion the solver degrades gracefully rather than running
+// to completion:
 //
 //   - The returned error wraps a *budget.Exhausted recording which limit
 //     tripped, at which pipeline stage, and the counters consumed. For
@@ -160,14 +158,36 @@ func Solve(s *System, opts Options) (*Result, error) {
 //     disjunct is checked before the budget could trip past it); only the
 //     enumeration is incomplete. An empty Result with a non-nil error means
 //     satisfiability is unknown, NOT unsat.
-//   - A nil error with an empty Result remains a proof of unsatisfiability,
-//     exactly as for Solve.
+//   - A nil error with an empty Result remains a proof of unsatisfiability.
 //
 // Language-preserving optimizations (constant canonicalization,
 // minimization, maximalization, dedup, subsumption pruning) degrade
 // silently when the budget trips inside them; only solve-critical
 // constructions surface the error.
 func SolveCtx(ctx context.Context, s *System, opts Options) (*Result, error) {
+	return solveCtx(ctx, s, nil, opts)
+}
+
+// SolveForCtx solves the system for the given variables only — the
+// paper's "solving either part or all of the graph depending on the needs
+// of the client analysis" (§4). It is SolveCtx restricted to the sub-graph
+// the requested variables depend on: only free variables of interest are
+// reduced, and only CI-groups containing a variable of interest are solved
+// (whole: their other variables come along). Every other variable, and any
+// requested variable absent from the system, is reported as Σ*, its value
+// in any maximal assignment that ignores its constraints. Options, budget
+// and degradation semantics are exactly those of SolveCtx.
+func SolveForCtx(ctx context.Context, s *System, interest []string, opts Options) (*Result, error) {
+	want := make(map[string]bool, len(interest))
+	for _, v := range interest {
+		want[v] = true
+	}
+	return solveCtx(ctx, s, want, opts)
+}
+
+// solveCtx runs the pipeline for SolveCtx (want == nil: every variable)
+// and SolveForCtx (want: the variables of interest).
+func solveCtx(ctx context.Context, s *System, want map[string]bool, opts Options) (*Result, error) {
 	bud := budget.New(ctx, opts.Limits)
 	// Fast path: a context that is already expired or canceled must not
 	// start any work — callers that share a deadline across many solves
@@ -176,7 +196,7 @@ func SolveCtx(ctx context.Context, s *System, opts Options) (*Result, error) {
 	if err := bud.Preflight("solve.preflight"); err != nil {
 		return &Result{Usage: bud.Usage()}, err
 	}
-	res, err := solveBudget(s, opts, bud)
+	res, err := solveBudget(s, want, opts, bud)
 	if res == nil {
 		res = &Result{}
 	}
@@ -184,7 +204,12 @@ func SolveCtx(ctx context.Context, s *System, opts Options) (*Result, error) {
 	return res, err
 }
 
-func solveBudget(s *System, opts Options, bud *budget.Budget) (*Result, error) {
+// solveBudget is the Fig. 7 pipeline. A nil want solves every variable; a
+// non-nil want restricts it to the sub-graph those variables depend on
+// (partial solving, §4): only free variables in want are reduced, only
+// CI-groups containing a variable in want are solved, and every other
+// variable keeps the initial Σ* assignment.
+func solveBudget(s *System, want map[string]bool, opts Options, bud *budget.Budget) (*Result, error) {
 	g := BuildGraph(s)
 	canon := newConstCache(opts, bud)
 
@@ -193,10 +218,13 @@ func solveBudget(s *System, opts Options, bud *budget.Budget) (*Result, error) {
 	// constraining constant languages alone.
 	base := Assignment{}
 	for _, id := range g.FreeVars() {
+		n := g.Nodes[id]
+		if want != nil && !want[n.Name] {
+			continue
+		}
 		if err := bud.Check("solve.free-vars"); err != nil {
 			return nil, err
 		}
-		n := g.Nodes[id]
 		var fvKey string
 		if opts.Cache != nil {
 			fvKey = freeVarKey(g, id, opts)
@@ -225,13 +253,19 @@ func solveBudget(s *System, opts Options, bud *budget.Budget) (*Result, error) {
 		}
 		base[n.Name] = lang
 	}
-	// Variables registered but never constrained default to Σ* (the paper's
-	// initial node-to-NFA mapping).
+	// Variables registered but never constrained, and under partial solving
+	// every variable left unsolved, default to Σ* (the paper's initial
+	// node-to-NFA mapping). Group variables are overwritten by stage 3.
 	for _, v := range s.Vars() {
 		if _, ok := base[v]; !ok {
-			if _, inGraph := g.varNode[v]; !inGraph {
+			if _, inGraph := g.varNode[v]; !inGraph || want != nil {
 				base[v] = nfa.AnyString()
 			}
+		}
+	}
+	for v := range want {
+		if _, ok := base[v]; !ok {
+			base[v] = nfa.AnyString() // requested but absent from the system
 		}
 	}
 
@@ -239,8 +273,17 @@ func solveBudget(s *System, opts Options, bud *budget.Budget) (*Result, error) {
 	// shared variables or temps by construction), so they are solved
 	// concurrently when there is more than one. The budget is shared across
 	// goroutines (its counters are atomic), so a trip in one group promptly
-	// stops the others at their next checkpoint.
+	// stops the others at their next checkpoint. A group cannot be split, so
+	// under partial solving a group containing any variable in want is
+	// solved whole and its other variables come along.
 	groups := g.CIGroups()
+	if want != nil {
+		groups = slices.DeleteFunc(groups, func(group []int) bool {
+			return !slices.ContainsFunc(group, func(id int) bool {
+				return g.Nodes[id].Kind == VarNode && want[g.Nodes[id].Name]
+			})
+		})
+	}
 	perGroup := make([][]map[int]*nfa.NFA, len(groups))
 	groupTrunc := make([]bool, len(groups))
 	groupErrs := make([]error, len(groups))
@@ -471,19 +514,13 @@ func maximalizeGroup(maxer *maximizer, g *Graph, group []int, sols []map[int]*nf
 	return pruneSubsumedB(maxer.bud, out)
 }
 
-// Decide answers the RMA decision problem for the variables of interest:
-// it returns a satisfying assignment covering them with nonempty languages,
-// or nil (with ok=false) when none exists.
-func Decide(s *System, interest []string, opts Options) (Assignment, bool, error) {
-	a, ok, _, err := DecideCtx(context.Background(), s, interest, opts)
-	return a, ok, err
-}
-
-// DecideCtx is Decide under a resource budget (see SolveCtx). On exhaustion
-// it returns any satisfying witness found before the trip: a non-nil
-// assignment is trustworthy even when err is non-nil, while ok=false with a
-// non-nil err means "unknown", not "unsat". The returned Usage reports the
-// resources consumed either way.
+// DecideCtx answers the RMA decision problem for the variables of interest
+// under a resource budget (see SolveCtx): it returns a satisfying assignment
+// covering them with nonempty languages, or nil (with ok=false) when none
+// exists. On exhaustion it returns any satisfying witness found before the
+// trip: a non-nil assignment is trustworthy even when err is non-nil, while
+// ok=false with a non-nil err means "unknown", not "unsat". The returned
+// Usage reports the resources consumed either way.
 func DecideCtx(ctx context.Context, s *System, interest []string, opts Options) (Assignment, bool, budget.Usage, error) {
 	res, err := SolveCtx(ctx, s, opts)
 	if res == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -8,9 +9,17 @@ import (
 	"dprle/internal/regex"
 )
 
+// must unwraps a *B result computed under a nil budget, which cannot trip.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func solve(t *testing.T, s *System) *Result {
 	t.Helper()
-	res, err := Solve(s, Options{})
+	res, err := SolveCtx(context.Background(), s, Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -155,7 +164,7 @@ func TestMotivatingExampleFixedFilter(t *testing.T) {
 	if res.Sat() {
 		t.Fatal("fixed filter must make the system unsatisfiable")
 	}
-	if _, ok, err := Decide(s, []string{"v1"}, Options{}); err != nil || ok {
+	if _, ok, _, err := DecideCtx(context.Background(), s, []string{"v1"}, Options{}); err != nil || ok {
 		t.Fatalf("Decide = %v/%v, want unsat", ok, err)
 	}
 }
@@ -343,7 +352,7 @@ func TestSolveWithUnionExtension(t *testing.T) {
 
 func TestDecideAndSatFor(t *testing.T) {
 	s, _, _, _ := motivatingSystem(t)
-	a, ok, err := Decide(s, []string{"v1"}, Options{})
+	a, ok, _, err := DecideCtx(context.Background(), s, []string{"v1"}, Options{})
 	if err != nil || !ok {
 		t.Fatalf("Decide = %v/%v", ok, err)
 	}
@@ -378,7 +387,7 @@ func TestNoMaximalizeStillCoversAndSatisfies(t *testing.T) {
 	s.MustAdd(Var{"v1"}, c1)
 	s.MustAdd(Var{"v2"}, c2)
 	s.MustAdd(Cat{Left: Var{"v1"}, Right: Var{"v2"}}, c3)
-	res, err := Solve(s, Options{NoMaximalize: true})
+	res, err := SolveCtx(context.Background(), s, Options{NoMaximalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,17 +401,17 @@ func TestNoMaximalizeStillCoversAndSatisfies(t *testing.T) {
 		}
 		covered = nfa.Union(covered, nfa.Concat(a.Lookup("v1"), a.Lookup("v2")))
 	}
-	whole := nfa.Intersect(
+	whole := must(nfa.IntersectB(nil,
 		nfa.Concat(regex.MustCompile("x(yy)+"), regex.MustCompile("(yy)*z")),
-		regex.MustCompile("xyyz|xyyyyz"))
-	if !nfa.Subset(whole, covered) {
+		regex.MustCompile("xyyz|xyyyyz")))
+	if !must(nfa.SubsetB(nil, whole, covered)) {
 		t.Fatal("raw disjuncts must jointly cover all solutions")
 	}
 }
 
 func TestSolveWithMinimizeOption(t *testing.T) {
 	s, _, _, _ := motivatingSystem(t)
-	res, err := Solve(s, Options{Minimize: true})
+	res, err := SolveCtx(context.Background(), s, Options{Minimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +427,7 @@ func TestSolveRawConstants(t *testing.T) {
 	// RawConstants reproduces the prototype's behaviour: same languages,
 	// potentially different disjunct granularity before maximalization.
 	s, _, _, _ := motivatingSystem(t)
-	res, err := Solve(s, Options{RawConstants: true})
+	res, err := SolveCtx(context.Background(), s, Options{RawConstants: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +453,7 @@ func TestMaxSolutionsTruncation(t *testing.T) {
 	s.MustAdd(Var{"v1"}, c1)
 	s.MustAdd(Var{"v2"}, c2)
 	s.MustAdd(Cat{Left: Var{"v1"}, Right: Var{"v2"}}, c3)
-	res, err := Solve(s, Options{MaxSolutions: 3, NoMaximalize: true})
+	res, err := SolveCtx(context.Background(), s, Options{MaxSolutions: 3, NoMaximalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,8 +572,8 @@ func TestDoublyConstrainedConcat(t *testing.T) {
 	}
 	for _, a := range res.Assignments {
 		joint := nfa.Concat(a.Lookup("v1"), a.Lookup("v2"))
-		if !nfa.Subset(joint, regex.MustCompile("a[ab]*")) ||
-			!nfa.Subset(joint, regex.MustCompile("[ab]*b")) {
+		if !must(nfa.SubsetB(nil, joint, regex.MustCompile("a[ab]*"))) ||
+			!must(nfa.SubsetB(nil, joint, regex.MustCompile("[ab]*b"))) {
 			t.Fatal("a constraint leaked")
 		}
 	}
@@ -583,11 +592,11 @@ func TestSequentialOptionMatchesParallel(t *testing.T) {
 		}
 		return s
 	}
-	par, err := Solve(mk(), Options{})
+	par, err := SolveCtx(context.Background(), mk(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Solve(mk(), Options{Sequential: true})
+	seq, err := SolveCtx(context.Background(), mk(), Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,14 +616,21 @@ func TestMaxCombosTruncationReported(t *testing.T) {
 	s.MustAdd(Var{"v1"}, c1)
 	s.MustAdd(Var{"v2"}, c2)
 	s.MustAdd(Cat{Left: Var{"v1"}, Right: Var{"v2"}}, c3)
-	res, err := Solve(s, Options{MaxCombos: 3, NoMaximalize: true})
+	res, err := SolveCtx(context.Background(), s, Options{MaxCombos: 3, NoMaximalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Truncated {
 		t.Fatal("combo truncation must be reported")
 	}
-	full, err := Solve(s, Options{NoMaximalize: true})
+	part, err := SolveForCtx(context.Background(), s, []string{"v1", "v2"}, Options{MaxCombos: 3, NoMaximalize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !part.Truncated {
+		t.Fatal("combo truncation must be reported by SolveFor too")
+	}
+	full, err := SolveCtx(context.Background(), s, Options{NoMaximalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

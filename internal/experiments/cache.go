@@ -7,6 +7,7 @@ package experiments
 // -table cache and emits it machine-readably as BENCH_cache.json.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -102,7 +103,7 @@ func solveCorpus(opts core.Options, skipBig bool, cache *solvecache.Cache) (time
 	opts.Cache = cache
 	start := time.Now()
 	for _, ps := range systems {
-		if _, err := core.SolveFor(ps.Sys, ps.Inputs, opts); err != nil {
+		if _, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, opts); err != nil {
 			return 0, 0, fmt.Errorf("%s: %w", ps.Sink.Kind, err)
 		}
 	}
@@ -188,7 +189,7 @@ func CacheExperiment(opts core.Options, skipBig bool) (CacheReport, error) {
 			wg.Add(1)
 			go func(c *solvecache.Call) {
 				defer wg.Done()
-				res, err := core.SolveFor(ps.Sys, ps.Inputs, opts)
+				res, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, opts)
 				flight.Finish("corpus-demo", c, res, err)
 			}(j.call)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -54,7 +55,7 @@ func CISweep(q int) ComplexityPoint {
 	c2 := boundedRepeat(nfa.Singleton('b'), q)
 	c3 := boundedRepeat(nfa.Range('a', 'b'), 2*q)
 	start := time.Now()
-	sols, trace := core.ConcatIntersectTrace(c1, c2, c3)
+	sols, trace, _ := core.ConcatIntersectB(nil, c1, c2, c3) // nil budget cannot fail
 	return ComplexityPoint{
 		Q:         q,
 		M5States:  trace.M5.NumStates(),
@@ -84,7 +85,7 @@ func ChainedSweep(q int) (ComplexityPoint, error) {
 		Left:  core.Cat{Left: core.Var{Name: "v1"}, Right: core.Var{Name: "v2"}},
 		Right: core.Var{Name: "v3"}}, c5)
 	start := time.Now()
-	res, err := core.Solve(s, core.Options{NoMaximalize: true, MaxSolutions: 1 << 20, MaxCombos: 1 << 20})
+	res, err := core.SolveCtx(context.Background(), s, core.Options{NoMaximalize: true, MaxSolutions: 1 << 20, MaxCombos: 1 << 20})
 	if err != nil {
 		return ComplexityPoint{}, err
 	}
@@ -106,7 +107,7 @@ func ExtraSubsetSweep(q int) (ComplexityPoint, error) {
 	s.MustAdd(v12, c3)
 	s.MustAdd(v12, c4)
 	start := time.Now()
-	res, err := core.Solve(s, core.Options{NoMaximalize: true, MaxSolutions: 1 << 20, MaxCombos: 1 << 20})
+	res, err := core.SolveCtx(context.Background(), s, core.Options{NoMaximalize: true, MaxSolutions: 1 << 20, MaxCombos: 1 << 20})
 	if err != nil {
 		return ComplexityPoint{}, err
 	}

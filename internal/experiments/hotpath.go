@@ -11,6 +11,7 @@ package experiments
 // zero-copy/bitset rework) so every run shows the speedup trajectory.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -123,7 +124,8 @@ func HotpathExperiment() (HotpathReport, error) {
 	rep.Rows = append(rep.Rows, hotpathMeasure("product-chain", 5, func() {
 		lang := nfa.AnyString()
 		for _, c := range []*nfa.NFA{ca, cb, cc} {
-			lang = nfa.Intersect(lang, c).Trim()
+			li, _ := nfa.IntersectB(nil, lang, c) // nil budget cannot fail
+			lang = li.Trim()
 		}
 		chainOut = lang
 	}))
@@ -139,7 +141,8 @@ func HotpathExperiment() (HotpathReport, error) {
 	q1 := regex.MustCompile("(ab|cd){0,6}")
 	q2 := regex.MustCompile("[a-d]{0,12}")
 	q3 := regex.MustCompile("[a-d]{0,16}")
-	m5 := nfa.Intersect(nfa.ConcatTagged(q1, q2, 0), q3).Trim()
+	m5, _ := nfa.IntersectB(nil, nfa.ConcatTagged(q1, q2, 0), q3)
+	m5 = m5.Trim()
 	seams := m5.TaggedEdges()
 	if len(seams) < 8 {
 		return rep, fmt.Errorf("hotpath: induce root has only %d seams", len(seams))
@@ -228,7 +231,7 @@ func HotpathExperiment() (HotpathReport, error) {
 		var solveErr error
 		rep.Rows = append(rep.Rows, hotpathMeasure(w.name, 2, func() {
 			for _, ps := range w.systems {
-				if _, err := core.SolveFor(ps.Sys, ps.Inputs, core.Options{}); err != nil {
+				if _, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, core.Options{}); err != nil {
 					solveErr = fmt.Errorf("%s: %w", ps.Sink.Kind, err)
 					return
 				}

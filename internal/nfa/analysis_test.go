@@ -18,7 +18,7 @@ func TestIsInfinite(t *testing.T) {
 		{Star(Literal("a")), true},
 		{Plus(Literal("ab")), true},
 		{AnyString(), true},
-		{Intersect(Star(Literal("a")), Literal("aa")), false}, // finite after ∩
+		{must(IntersectB(nil, Star(Literal("a")), Literal("aa"))), false}, // finite after ∩
 	}
 	for i, c := range cases {
 		if got := c.m.IsInfinite(); got != c.want {

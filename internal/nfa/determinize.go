@@ -35,12 +35,6 @@ func (d *DFA) NumStates() int { return len(d.trans) }
 // Start returns the start state.
 func (d *DFA) Start() int { return d.start }
 
-// Accepting reports whether state s is accepting.
-func (d *DFA) Accepting(s int) bool { return d.accept[s] }
-
-// Atoms returns the alphabet partition the DFA is defined over.
-func (d *DFA) Atoms() []CharSet { return d.atoms }
-
 // Accepts reports whether the DFA accepts w.
 func (d *DFA) Accepts(w string) bool {
 	s := d.start
@@ -155,13 +149,8 @@ func (d *DFA) ToNFA() *NFA {
 	return bl.Build(d.start, f).Trim()
 }
 
-// Complement returns an NFA for Σ* \ L(m).
-func Complement(m *NFA) *NFA {
-	return Determinize(m).Complement().ToNFA()
-}
-
-// ComplementB is Complement under a resource budget (the determinization it
-// routes through is the expensive part).
+// ComplementB returns an NFA for Σ* \ L(m) under a resource budget (the
+// determinization it routes through is the expensive part).
 func ComplementB(bud *budget.Budget, m *NFA) (*NFA, error) {
 	d, err := DeterminizeB(bud, m)
 	if err != nil {
@@ -170,15 +159,10 @@ func ComplementB(bud *budget.Budget, m *NFA) (*NFA, error) {
 	return d.Complement().ToNFA(), nil
 }
 
-// Minimized returns an equivalent NFA with the minimal deterministic state
-// count. The paper notes (§4) that applying minimization to intermediate
-// machines can improve the pathological cases; the solver exposes this as an
-// option.
-func Minimized(m *NFA) *NFA {
-	return Determinize(m).Minimize().ToNFA()
-}
-
-// MinimizedB is Minimized under a resource budget.
+// MinimizedB returns an equivalent NFA with the minimal deterministic state
+// count, under a resource budget. The paper notes (§4) that applying
+// minimization to intermediate machines can improve the pathological cases;
+// the solver exposes this as an option.
 func MinimizedB(bud *budget.Budget, m *NFA) (*NFA, error) {
 	d, err := DeterminizeB(bud, m)
 	if err != nil {

@@ -7,16 +7,11 @@ import (
 	"dprle/internal/budget"
 )
 
-// Subset reports whether L(a) ⊆ L(b), decided as L(a) ∩ (Σ* \ L(b)) = ∅.
-func Subset(a, b *NFA) bool {
-	ok, _ := SubsetB(nil, a, b) // nil budget cannot fail (see budget.Budget)
-	return ok
-}
-
-// SubsetB is Subset under a resource budget: the complement
-// (determinization) and the product-pair exploration are both accounted
-// against bud. The emptiness side runs through IntersectsB, which builds no
-// product machine and exits on the first counterexample path.
+// SubsetB reports whether L(a) ⊆ L(b), decided as L(a) ∩ (Σ* \ L(b)) = ∅.
+// The complement (determinization) and the product-pair exploration are
+// both accounted against bud. The emptiness side runs through IntersectsB,
+// which builds no product machine and exits on the first counterexample
+// path.
 func SubsetB(bud *budget.Budget, a, b *NFA) (bool, error) {
 	nb, err := ComplementB(bud, b)
 	if err != nil {
@@ -31,27 +26,18 @@ func SubsetB(bud *budget.Budget, a, b *NFA) (bool, error) {
 
 // Equivalent reports whether L(a) = L(b).
 func Equivalent(a, b *NFA) bool {
-	return Subset(a, b) && Subset(b, a)
+	ab, _ := SubsetB(nil, a, b) // nil budget cannot fail (see budget.Budget)
+	ba, _ := SubsetB(nil, b, a)
+	return ab && ba
 }
 
-// ProperSubset reports whether L(a) ⊊ L(b).
-func ProperSubset(a, b *NFA) bool {
-	return Subset(a, b) && !Subset(b, a)
-}
-
-// Fingerprint returns a canonical string identifying L(m): two machines have
-// equal fingerprints iff their languages are equal. The minimal DFA is
+// FingerprintB returns a canonical string identifying L(m): two machines
+// have equal fingerprints iff their languages are equal. The minimal DFA is
 // unique up to state renaming; renaming is fixed by BFS over bytes in
 // ascending order, and transitions are serialized as per-state successor
 // runs so the result is independent of how edge labels were partitioned.
-// The solver uses fingerprints to deduplicate disjunctive assignments.
-func Fingerprint(m *NFA) string {
-	fp, _ := FingerprintB(nil, m) // nil budget cannot fail (see budget.Budget)
-	return fp
-}
-
-// FingerprintB is Fingerprint under a resource budget: the canonicalizing
-// determinization + minimization is accounted against bud.
+// The solver uses fingerprints to deduplicate disjunctive assignments. The
+// canonicalizing determinization + minimization is accounted against bud.
 func FingerprintB(bud *budget.Budget, m *NFA) (string, error) {
 	dd, err := DeterminizeB(bud, m)
 	if err != nil {

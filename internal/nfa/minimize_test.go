@@ -197,7 +197,7 @@ func TestMinimizeKeepsStableSplitNumbering(t *testing.T) {
 	// would make the accepting class 0, Moore's keeps it at 1.
 	d := newDFA([]CharSet{AnyByte()}, [][]int{{0}, {1}}, []bool{true, false}, 0)
 	m := d.Minimize()
-	if m.NumStates() != 2 || m.Start() != 1 || !m.Accepting(1) || m.Accepting(0) {
+	if m.NumStates() != 2 || m.Start() != 1 || !m.accept[1] || m.accept[0] {
 		t.Fatalf("minimized = start %d, accept %v; want start 1, accept [false true]", m.Start(), m.accept)
 	}
 	if msg := mooreMismatch(d); msg != "" {

@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// must unwraps a *B result computed under a nil budget, which cannot trip.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func mustAccept(t *testing.T, m *NFA, strs ...string) {
 	t.Helper()
 	for _, s := range strs {

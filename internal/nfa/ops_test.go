@@ -97,7 +97,7 @@ func TestIsEmpty(t *testing.T) {
 		{Empty(), true},
 		{Epsilon(), false},
 		{Literal("a"), false},
-		{Intersect(Literal("a"), Literal("b")), true},
+		{must(IntersectB(nil, Literal("a"), Literal("b"))), true},
 	}
 	for i, c := range cases {
 		if got := c.m.IsEmpty(); got != c.want {
@@ -125,7 +125,7 @@ func TestTrimRemovesDeadStates(t *testing.T) {
 }
 
 func TestTrimEmptyLanguage(t *testing.T) {
-	m := Intersect(Literal("a"), Literal("b")).Trim()
+	m := must(IntersectB(nil, Literal("a"), Literal("b"))).Trim()
 	if !m.IsEmpty() {
 		t.Fatal("trim of empty language should be empty")
 	}

@@ -8,7 +8,7 @@ import "dprle/internal/budget"
 // in machine structure anyway.
 const denseProductLimit = 1 << 22
 
-// Intersect implements the cross-product construction of paper Fig. 3
+// IntersectB implements the cross-product construction of paper Fig. 3
 // (lines 7–8): the returned machine recognizes L(a) ∩ L(b). Both operands may
 // contain ε-transitions; ε-moves advance one side at a time (the standard
 // asynchronous product). Seam tags on ε-edges of either operand are
@@ -17,17 +17,9 @@ const denseProductLimit = 1 << 22
 // the paper's Qlhs/Qrhs scan enumerates.
 //
 // Only product states reachable from the product start are materialized.
-func Intersect(a, b *NFA) *NFA {
-	// A nil *budget.Budget never trips — Check/AddStates return nil
-	// immediately on a nil receiver — so IntersectB's error is statically
-	// nil here and safe to discard (budgetcheck encodes this contract).
-	m, _ := IntersectB(nil, a, b)
-	return m
-}
-
-// IntersectB is Intersect under a resource budget: every materialized
-// product state is accounted against bud, and the construction aborts with
-// the budget's *Exhausted error as soon as the budget trips. The product is
+// Every materialized product state is accounted against bud, and the
+// construction aborts with the budget's *Exhausted error as soon as the
+// budget trips; a nil budget never trips (see budget.Budget). The product is
 // the solver's worst-case-quadratic (and, chained, exponential) step, so
 // this is the primary interruption point for deadlines and state caps.
 func IntersectB(bud *budget.Budget, a, b *NFA) (*NFA, error) {
@@ -135,14 +127,8 @@ func IntersectB(bud *budget.Budget, a, b *NFA) (*NFA, error) {
 	return newNFA(edges, eps, start, fid), nil
 }
 
-// IntersectAll intersects all given machines left to right.
-// IntersectAll() is Σ*.
-func IntersectAll(ms ...*NFA) *NFA {
-	m, _ := IntersectAllB(nil, ms...) // nil budget cannot fail (see Intersect)
-	return m
-}
-
-// IntersectAllB is IntersectAll under a resource budget.
+// IntersectAllB intersects all given machines left to right under a
+// resource budget. IntersectAllB(bud) is Σ*.
 func IntersectAllB(bud *budget.Budget, ms ...*NFA) (*NFA, error) {
 	if len(ms) == 0 {
 		return AnyString(), nil
@@ -158,21 +144,7 @@ func IntersectAllB(bud *budget.Budget, ms ...*NFA) (*NFA, error) {
 	return out, nil
 }
 
-// ProductStatesVisited returns the number of product states the intersection
-// of a and b materializes. The paper's complexity analysis (§3.5) counts
-// visited NFA states; this hook lets the experiment harness report the same
-// metric.
-func ProductStatesVisited(a, b *NFA) int {
-	return Intersect(a, b).NumStates()
-}
-
-// Intersects reports whether L(a) ∩ L(b) ≠ ∅.
-func Intersects(a, b *NFA) bool {
-	ok, _ := IntersectsB(nil, a, b) // nil budget cannot fail (see budget.Budget)
-	return ok
-}
-
-// IntersectsB is Intersects under a resource budget. Unlike
+// IntersectsB reports whether L(a) ∩ L(b) ≠ ∅. Unlike
 // IntersectB-then-IsEmpty it materializes no machine: it walks the
 // reachable product pairs and exits as soon as the joint final pair is
 // seen, so deciding "the languages meet" stops at the first witness path

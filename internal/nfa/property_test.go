@@ -99,7 +99,7 @@ func TestPropIntersectionIsConjunction(t *testing.T) {
 	f := func() bool {
 		a := randMachine(r, 2)
 		b := randMachine(r, 2)
-		m := Intersect(a, b)
+		m := must(IntersectB(nil, a, b))
 		for _, w := range sampleStrings(r, 12) {
 			if m.Accepts(w) != (a.Accepts(w) && b.Accepts(w)) {
 				return false
@@ -134,7 +134,7 @@ func TestPropComplementIsNegation(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	f := func() bool {
 		m := randMachine(r, 2)
-		c := Complement(m)
+		c := must(ComplementB(nil, m))
 		for _, w := range sampleStrings(r, 12) {
 			if c.Accepts(w) == m.Accepts(w) {
 				return false
@@ -269,7 +269,7 @@ func TestPropFingerprintAgreesWithEquivalent(t *testing.T) {
 	f := func() bool {
 		a := randMachine(r, 2)
 		b := randMachine(r, 2)
-		return (Fingerprint(a) == Fingerprint(b)) == Equivalent(a, b)
+		return (must(FingerprintB(nil, a)) == must(FingerprintB(nil, b))) == Equivalent(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

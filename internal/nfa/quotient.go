@@ -8,14 +8,8 @@ import "dprle/internal/budget"
 // for v is ¬(A⁻¹·(¬C)·B⁻¹). The core package's maximality checker uses them
 // to validate solver output without trusting the solver's own construction.
 
-// LeftQuotient returns A⁻¹X = { w | ∃a ∈ L(a): aw ∈ L(x) }.
-func LeftQuotient(a, x *NFA) *NFA {
-	m, _ := LeftQuotientB(nil, a, x) // nil budget cannot fail (see budget.Budget)
-	return m
-}
-
-// LeftQuotientB is LeftQuotient under a resource budget: the product-state
-// exploration is accounted per visited pair.
+// LeftQuotientB returns A⁻¹X = { w | ∃a ∈ L(a): aw ∈ L(x) }. The
+// product-state exploration is accounted against bud per visited pair.
 func LeftQuotientB(bud *budget.Budget, a, x *NFA) (*NFA, error) {
 	// A state q of x can begin the suffix iff some string of L(a) drives x
 	// from its start to q. Compute the reachable product states of (a, x);
@@ -35,15 +29,10 @@ func LeftQuotientB(bud *budget.Budget, a, x *NFA) (*NFA, error) {
 	return bl.Build(s, off+x.final).Trim(), nil
 }
 
-// RightQuotient returns XB⁻¹ = { w | ∃b ∈ L(b): wb ∈ L(x) }.
-func RightQuotient(x, b *NFA) *NFA {
-	m, _ := RightQuotientB(nil, x, b) // nil budget cannot fail (see budget.Budget)
-	return m
-}
-
-// RightQuotientB is RightQuotient under a resource budget.
+// RightQuotientB returns XB⁻¹ = { w | ∃b ∈ L(b): wb ∈ L(x) } under a
+// resource budget.
 func RightQuotientB(bud *budget.Budget, x, b *NFA) (*NFA, error) {
-	// Symmetric to LeftQuotient via reversal.
+	// Symmetric to LeftQuotientB via reversal.
 	lq, err := LeftQuotientB(bud, Reverse(b), Reverse(x))
 	if err != nil {
 		return nil, err
@@ -96,20 +85,15 @@ func jointlyReachable(bud *budget.Budget, a, x *NFA, requireAFinal bool) ([]bool
 // MaxMiddle returns the largest language M with L(a)·M·L(b) ⊆ L(c),
 // namely ¬( L(a)⁻¹ · ¬L(c) · L(b)⁻¹ ). Pass Epsilon() for an absent side.
 func MaxMiddle(a, b, c *NFA) *NFA {
-	return MaxMiddleNot(a, b, Complement(c))
-}
-
-// MaxMiddleNot is MaxMiddle with the complement of c precomputed, letting
-// callers that probe many (a, b) pairs against one constant amortize the
-// determinization.
-func MaxMiddleNot(a, b, notC *NFA) *NFA {
-	m, _ := MaxMiddleNotB(nil, a, b, notC) // nil budget cannot fail (see budget.Budget)
+	notC, _ := ComplementB(nil, c) // nil budget cannot fail (see budget.Budget)
+	m, _ := MaxMiddleNotB(nil, a, b, notC)
 	return m
 }
 
-// MaxMiddleNotB is MaxMiddleNot under a resource budget. The chain contains
-// two quotient explorations and a complement (which determinizes), all of
-// which are accounted.
+// MaxMiddleNotB is MaxMiddle with the complement of c precomputed, letting
+// callers that probe many (a, b) pairs against one constant amortize the
+// determinization. The chain contains two quotient explorations and a
+// complement (which determinizes), all of which are accounted against bud.
 func MaxMiddleNotB(bud *budget.Budget, a, b, notC *NFA) (*NFA, error) {
 	lq, err := LeftQuotientB(bud, a, notC)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 func TestLeftQuotientBasic(t *testing.T) {
 	// ab⁻¹ of {abc, abd, xyz} = {c, d}.
 	x := UnionAll(Literal("abc"), Literal("abd"), Literal("xyz"))
-	q := LeftQuotient(Literal("ab"), x)
+	q := must(LeftQuotientB(nil, Literal("ab"), x))
 	mustAccept(t, q, "c", "d")
 	mustReject(t, q, "", "abc", "z", "yz")
 }
@@ -17,13 +17,13 @@ func TestLeftQuotientBasic(t *testing.T) {
 func TestLeftQuotientWholeLanguage(t *testing.T) {
 	// ε⁻¹X = X.
 	x := Union(Literal("ab"), Star(Literal("c")))
-	if !Equivalent(LeftQuotient(Epsilon(), x), x) {
+	if !Equivalent(must(LeftQuotientB(nil, Epsilon(), x)), x) {
 		t.Fatal("ε-quotient should be identity")
 	}
 }
 
 func TestLeftQuotientEmptyDivisor(t *testing.T) {
-	if !LeftQuotient(Empty(), Literal("abc")).IsEmpty() {
+	if !must(LeftQuotientB(nil, Empty(), Literal("abc"))).IsEmpty() {
 		t.Fatal("∅-quotient should be empty")
 	}
 }
@@ -31,14 +31,14 @@ func TestLeftQuotientEmptyDivisor(t *testing.T) {
 func TestRightQuotientBasic(t *testing.T) {
 	// {abc, xbc, ad}c⁻¹... using divisor "bc": {a, x}.
 	x := UnionAll(Literal("abc"), Literal("xbc"), Literal("ad"))
-	q := RightQuotient(x, Literal("bc"))
+	q := must(RightQuotientB(nil, x, Literal("bc")))
 	mustAccept(t, q, "a", "x")
 	mustReject(t, q, "ab", "ad", "")
 }
 
 func TestQuotientWithStarDivisor(t *testing.T) {
 	// (a*)⁻¹ of a*b = a*b  (any prefix of a's can be stripped, a's remain).
-	q := LeftQuotient(Star(Literal("a")), Concat(Star(Literal("a")), Literal("b")))
+	q := must(LeftQuotientB(nil, Star(Literal("a")), Concat(Star(Literal("a")), Literal("b"))))
 	mustAccept(t, q, "b", "ab", "aab")
 	mustReject(t, q, "", "ba")
 }
@@ -75,7 +75,7 @@ func TestMaxMiddleIsMaximalAndSatisfying(t *testing.T) {
 		c := randMachine(r, 2)
 		m := MaxMiddle(a, b, c)
 		// Satisfying: a·m·b ⊆ c.
-		if !Subset(Concat(Concat(a, m), b), c) {
+		if !must(SubsetB(nil, Concat(Concat(a, m), b), c)) {
 			return false
 		}
 		// Maximality spot-check: no short string outside m can be added.
@@ -84,7 +84,7 @@ func TestMaxMiddleIsMaximalAndSatisfying(t *testing.T) {
 				continue
 			}
 			ext := Union(m, Literal(w))
-			if Subset(Concat(Concat(a, ext), b), c) {
+			if must(SubsetB(nil, Concat(Concat(a, ext), b), c)) {
 				return false // m missed an admissible string
 			}
 		}
@@ -100,7 +100,7 @@ func TestQuotientDefinitionProperty(t *testing.T) {
 	f := func() bool {
 		a := randMachine(r, 1)
 		x := randMachine(r, 2)
-		q := LeftQuotient(a, x)
+		q := must(LeftQuotientB(nil, a, x))
 		// For short strings w: w ∈ q ⟺ ∃ short prefix p ∈ a with pw ∈ x.
 		// Enumerate members of a up to length 6 (machines are small).
 		prefixes := a.Enumerate(6, 2000)

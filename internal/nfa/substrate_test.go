@@ -244,8 +244,8 @@ func TestSubstrateDifferentialIntersects(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
 	for i := 0; i < 60; i++ {
 		a, b := randMachine(r, 2), randMachine(r, 2)
-		want := !refFrom(Intersect(a, b)).isEmpty()
-		if got := Intersects(a, b); got != want {
+		want := !refFrom(must(IntersectB(nil, a, b))).isEmpty()
+		if got := must(IntersectsB(nil, a, b)); got != want {
 			t.Fatalf("case %d: Intersects=%v, product-emptiness reference says %v", i, got, want)
 		}
 	}

@@ -133,7 +133,8 @@ func (ex *executor) cond(st cfg.CondStep) error {
 	if matched {
 		return ex.constrain(val, fmt.Sprintf("match:/%s/%s", pm.Pattern, flags), matchLang)
 	}
-	return ex.constrain(val, fmt.Sprintf("nomatch:/%s/%s", pm.Pattern, flags), nfa.Complement(matchLang))
+	notMatch, _ := nfa.ComplementB(nil, matchLang) // nil budget cannot fail
+	return ex.constrain(val, fmt.Sprintf("nomatch:/%s/%s", pm.Pattern, flags), notMatch)
 }
 
 // constrain adds (concat of val's atoms) ⊆ lang to the system. Constant-only

@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -285,7 +286,7 @@ func TestSolverOptionsRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Solve(ps.Sys, core.Options{Minimize: true})
+	res, err := core.SolveCtx(context.Background(), ps.Sys, core.Options{Minimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

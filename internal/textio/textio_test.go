@@ -1,6 +1,7 @@
 package textio
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func TestParseMotivating(t *testing.T) {
 	if vars := sys.Vars(); len(vars) != 1 || vars[0] != "input" {
 		t.Fatalf("vars = %v", vars)
 	}
-	res, err := core.Solve(sys, core.Options{})
+	res, err := core.SolveCtx(context.Background(), sys, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ y <= d;
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Solve(sys, core.Options{})
+	res, err := core.SolveCtx(context.Background(), sys, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ v | w <= c;
 	if got := len(sys.Constraints()); got != 2 {
 		t.Fatalf("constraints = %d", got)
 	}
-	res, err := core.Solve(sys, core.Options{})
+	res, err := core.SolveCtx(context.Background(), sys, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ v <= c;
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Solve(sys, core.Options{})
+	res, err := core.SolveCtx(context.Background(), sys, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ v <= b;
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Solve(sys, core.Options{})
+	res, err := core.SolveCtx(context.Background(), sys, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

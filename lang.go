@@ -149,26 +149,36 @@ func (l Lang) Union(o Lang) Lang { return wrap(nfa.Union(l.machine(), o.machine(
 
 // Intersect returns l ∩ o.
 func (l Lang) Intersect(o Lang) Lang {
-	return wrap(nfa.Intersect(l.machine(), o.machine()).Trim())
+	m, _ := nfa.IntersectB(nil, l.machine(), o.machine()) // nil budget cannot fail
+	return wrap(m.Trim())
 }
 
 // ConcatWith returns l · o.
 func (l Lang) ConcatWith(o Lang) Lang { return wrap(nfa.Concat(l.machine(), o.machine())) }
 
 // Complement returns Σ* \ l.
-func (l Lang) Complement() Lang { return wrap(nfa.Complement(l.machine())) }
+func (l Lang) Complement() Lang {
+	m, _ := nfa.ComplementB(nil, l.machine())
+	return wrap(m)
+}
 
 // Star returns l*.
 func (l Lang) Star() Lang { return wrap(nfa.Star(l.machine())) }
 
 // SubsetOf reports whether l ⊆ o.
-func (l Lang) SubsetOf(o Lang) bool { return nfa.Subset(l.machine(), o.machine()) }
+func (l Lang) SubsetOf(o Lang) bool {
+	ok, _ := nfa.SubsetB(nil, l.machine(), o.machine())
+	return ok
+}
 
 // Equal reports whether l and o denote the same language.
 func (l Lang) Equal(o Lang) bool { return nfa.Equivalent(l.machine(), o.machine()) }
 
 // Minimize returns an equivalent language backed by the minimal DFA.
-func (l Lang) Minimize() Lang { return wrap(nfa.Minimized(l.machine())) }
+func (l Lang) Minimize() Lang {
+	m, _ := nfa.MinimizedB(nil, l.machine())
+	return wrap(m)
+}
 
 // IsInfinite reports whether the language has infinitely many members.
 func (l Lang) IsInfinite() bool { return l.machine().IsInfinite() }

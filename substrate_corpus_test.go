@@ -9,6 +9,7 @@ package dprle_test
 // publication into a hard failure.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -31,11 +32,11 @@ func TestSubstrateCorpusGate(t *testing.T) {
 	first := corpusSystems(t)
 	second := corpusSystems(t)
 	for i, ps := range first {
-		a, err := core.SolveFor(ps.Sys, ps.Inputs, opts)
+		a, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, opts)
 		if err != nil {
 			t.Fatalf("%s: first solve: %v", ps.Sink.Kind, err)
 		}
-		b, err := core.SolveFor(second[i].Sys, second[i].Inputs, opts)
+		b, err := core.SolveForCtx(context.Background(), second[i].Sys, second[i].Inputs, opts)
 		if err != nil {
 			t.Fatalf("%s: second solve: %v", ps.Sink.Kind, err)
 		}
@@ -51,7 +52,7 @@ func TestSubstrateCorpusGate(t *testing.T) {
 				}
 			}
 		}
-		full, err := core.Solve(ps.Sys, opts)
+		full, err := core.SolveCtx(context.Background(), ps.Sys, opts)
 		if err != nil {
 			t.Fatalf("%s: full solve: %v", ps.Sink.Kind, err)
 		}
@@ -77,7 +78,7 @@ func TestConcurrentSolvesSharedMachines(t *testing.T) {
 	baseline := make([]bool, len(systems))
 	disjuncts := make([]int, len(systems))
 	for i, ps := range systems {
-		res, err := core.SolveFor(ps.Sys, ps.Inputs, opts)
+		res, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, opts)
 		if err != nil {
 			t.Fatalf("%s: baseline solve: %v", ps.Sink.Kind, err)
 		}
@@ -90,7 +91,7 @@ func TestConcurrentSolvesSharedMachines(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i, ps := range systems {
-				res, err := core.SolveFor(ps.Sys, ps.Inputs, opts)
+				res, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, opts)
 				if err != nil {
 					t.Errorf("goroutine %d, %s: %v", g, ps.Sink.Kind, err)
 					return
