@@ -31,11 +31,11 @@ func corpusSystems(tb testing.TB) []*symexec.PathSystem {
 }
 
 // TestCacheCorpusEquivalence proves cached ≡ uncached over the whole
-// corpus: every system is solved fresh and against a cache warmed by a
-// structurally identical (but independently built) batch, and the two
-// results must agree — same satisfiability, same number of disjuncts,
-// language-equivalent machines variable by variable — with every cached
-// assignment independently verified against the system's constraints.
+// corpus: every system is solved fresh and against a cache warmed by an
+// identical (but independently built) batch, and the two results must
+// agree — same satisfiability, same number of disjuncts, language-
+// equivalent machines variable by variable — with every cached assignment
+// independently verified against the system's constraints.
 func TestCacheCorpusEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves the corpus three times")
@@ -46,8 +46,10 @@ func TestCacheCorpusEquivalence(t *testing.T) {
 	warmOpts.Cache = cache
 
 	// Warm the cache from an independently built batch, so every cached
-	// entry was keyed through canonicalization of *different* machine
-	// pointers and state numberings than the ones queried below.
+	// entry was keyed from *different* machine pointers than the ones
+	// queried below. Construction is deterministic, so the two batches
+	// have the same state numbering: the exact keys (nfa.NFA.Key) must
+	// match, and every cached query below must be answered without a miss.
 	for _, ps := range corpusSystems(t) {
 		if _, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, warmOpts); err != nil {
 			t.Fatalf("warming on %s: %v", ps.Sink.Kind, err)
@@ -61,9 +63,13 @@ func TestCacheCorpusEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("uncached solve on %s: %v", ps.Sink.Kind, err)
 		}
+		missesBefore := cache.Stats().Misses
 		cached, err := core.SolveForCtx(context.Background(), ps.Sys, ps.Inputs, warmOpts)
 		if err != nil {
 			t.Fatalf("cached solve on %s: %v", ps.Sink.Kind, err)
+		}
+		if missed := cache.Stats().Misses - missesBefore; missed != 0 {
+			t.Fatalf("%s: cached solve of a rebuilt system missed the warm cache %d times", ps.Sink.Kind, missed)
 		}
 		if plain.Sat() != cached.Sat() {
 			t.Fatalf("%s: uncached sat=%v, cached sat=%v", ps.Sink.Kind, plain.Sat(), cached.Sat())
@@ -117,7 +123,7 @@ func TestCacheCorpusEquivalence(t *testing.T) {
 // from the warm cache must be several times faster than the same pass with
 // caching disabled. The bound was 10x against the original deep-copy/[]bool
 // NFA substrate; the zero-copy/bitset rework made *cold* solves ~4x faster
-// while the warm path (dominated by canonical keying) gained less, so the
+// while the warm path (dominated by keying) gained less, so the
 // honest floor is now 3x. The experiment already takes best-of-N per pass;
 // the retry loop tolerates a CI neighbor stealing the machine
 // mid-measurement.
@@ -169,7 +175,7 @@ func BenchmarkCacheCold(b *testing.B) {
 }
 
 // BenchmarkCacheWarm solves freshly rebuilt corpus systems against a
-// pre-filled cache: the memoized path, canonicalization included.
+// pre-filled cache: the memoized path, keying included.
 func BenchmarkCacheWarm(b *testing.B) {
 	b.ReportAllocs()
 	opts := core.Options{Cache: solvecache.New(solvecache.Config{})}

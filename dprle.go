@@ -62,8 +62,8 @@ type Options struct {
 	Sequential bool
 	// Cache memoizes solved components across calls (see NewCache). nil
 	// disables memoization. The same Cache may be shared by concurrent
-	// solves and across different systems: entries are keyed by canonical
-	// structural fingerprints plus the option fields that shape them, so
+	// solves and across different systems: entries are keyed by exact
+	// machine serializations plus the option fields that shape them, so
 	// a hit is always a sound substitute for re-solving.
 	Cache *Cache
 }

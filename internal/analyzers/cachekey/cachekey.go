@@ -1,13 +1,12 @@
-// Package cachekey flags solve-cache keys built from non-canonical NFA
-// forms. The cache's soundness argument (DESIGN.md §10, internal/core/
-// cache.go) rests on keys being state-numbering-invariant: equal keys must
-// imply structurally interchangeable components. Raw serializations
-// (Marshal, WriteTo, Dot, String) embed the machine's arbitrary state
-// numbering, raw state ids (Start, Final) vary across isomorphic copies,
-// and pointer formatting varies across processes — any of them in a key
-// makes structurally identical machines miss each other at best and, when
-// numbering collides, lets unrelated entries alias. Keys must go through
-// nfa.CanonicalKey (or numbering-free facts such as NumStates).
+// Package cachekey flags solve-cache keys built from NFA forms other than
+// (*nfa.NFA).Key. The cache's soundness argument (DESIGN.md §10,
+// internal/core/cache.go) rests on equal keys meaning identical machines,
+// and Key, the machine's exact serialization memoized on the machine, is the
+// form that guarantees it. String, the raw state ids Start and Final, and
+// fmt-rendering an *nfa.NFA (its String summary or its pointer) can alias
+// distinct machines, so a hit could hand one system another's answer.
+// Marshal and Dot are exact but repeat, on every probe, the serialization
+// that Key memoizes.
 package cachekey
 
 import (
@@ -22,39 +21,39 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "cachekey",
-	Doc: `cachekey: cache keys must be built from canonical NFA forms
+	Doc: `cachekey: cache keys must be built from (*nfa.NFA).Key
 
-The solve cache treats equal keys as proof of structural equivalence, so
-every machine-derived part of a key must be invariant under state
-renumbering. This analyzer reports arguments to solvecache.Key and to
-(*solvecache.Cache).Get/Put whose value derives from a raw NFA form:
+The solve cache treats equal keys as proof that two machines are
+identical, so every machine-derived part of a key must be the machine's
+exact serialization. This analyzer reports arguments to solvecache.Key and
+to (*solvecache.Cache).Get/Put whose value derives from another NFA form:
 
-  - nfa.NFA serializations that embed the state numbering
-    (Marshal, WriteTo, Dot, String)
+  - String, which renders only counts and state ids
   - raw state ids (Start, Final)
-  - fmt-rendering an *nfa.NFA value, which falls back to pointer or
-    default struct formatting
+  - fmt-rendering an *nfa.NFA value, which falls back to its String
+    summary or its pointer
+  - Marshal and Dot, which are exact but re-serialize the machine on
+    every probe
 
 Taint is tracked through local assignments within a function. Use
-nfa.CanonicalKey for machine identity; numbering-free facts such as
-NumStates are fine.`,
+(*nfa.NFA).Key for machine identity; facts such as NumStates are fine.`,
 	Run: run,
 }
 
-// rawForms maps NFA methods whose results depend on the arbitrary state
-// numbering (or raw ids) to the reason they are unfit for cache keys.
+// rawForms maps NFA methods unfit for cache keys to the reason: either
+// the result can alias distinct machines, or it repeats the serialization
+// Key memoizes.
 var rawForms = map[string]string{
-	"Marshal": "serializes the raw state numbering",
-	"WriteTo": "serializes the raw state numbering",
-	"Dot":     "renders raw state ids",
-	"String":  "renders the raw state numbering",
-	"Start":   "is a raw state id",
-	"Final":   "is a raw state id",
+	"Marshal": "re-serializes the machine on every probe; Key memoizes it",
+	"Dot":     "re-renders the machine on every probe; Key memoizes its serialization",
+	"String":  "renders only counts and state ids, which distinct machines share",
+	"Start":   "is a bare state id, which distinct machines share",
+	"Final":   "is a bare state id, which distinct machines share",
 }
 
 // fmtRenderers are the fmt functions that stringify their operands; an
-// *nfa.NFA operand renders via String() or pointer formatting, both
-// numbering-dependent.
+// *nfa.NFA operand renders via String() or pointer formatting, both of
+// which can alias distinct machines.
 var fmtRenderers = map[string]bool{
 	"Sprint": true, "Sprintf": true, "Sprintln": true,
 	"Fprint": true, "Fprintf": true, "Fprintln": true,
@@ -75,8 +74,8 @@ func run(pass *analysis.Pass) error {
 }
 
 // checkFunc runs the two passes over one function: first collect locals
-// assigned (in source order) from numbering-dependent expressions, then
-// report any sink argument whose subtree reaches a tainted form.
+// assigned (in source order) from raw-form expressions, then report any
+// sink argument whose subtree reaches a tainted form.
 func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 	info := pass.TypesInfo
 	taints := map[types.Object]string{}
@@ -119,7 +118,7 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 		for _, arg := range args {
 			if reason := subtreeTaint(info, arg, taints); reason != "" {
 				pass.Reportf(arg.Pos(),
-					"cache key built from non-canonical NFA form: %s; use CanonicalKey", reason)
+					"cache key built from a raw NFA form: %s; use (*nfa.NFA).Key", reason)
 			}
 		}
 		return true
@@ -151,7 +150,7 @@ func sinkArgs(info *types.Info, call *ast.CallExpr) []ast.Expr {
 	return nil
 }
 
-// subtreeTaint reports why the expression's value depends on a raw NFA
+// subtreeTaint reports why the expression's value derives from a raw NFA
 // form, or "" if it does not. It walks the whole subtree, so taint
 // survives concatenation, fmt wrapping, and slice/append plumbing.
 func subtreeTaint(info *types.Info, e ast.Expr, taints map[types.Object]string) string {
@@ -179,8 +178,8 @@ func subtreeTaint(info *types.Info, e ast.Expr, taints map[types.Object]string) 
 	return reason
 }
 
-// callTaint reports whether the call itself produces a numbering-dependent
-// value: a raw-form NFA method, or a fmt renderer handed an *nfa.NFA.
+// callTaint reports whether the call itself produces a raw-form value: a
+// rawForms NFA method, or a fmt renderer handed an *nfa.NFA.
 func callTaint(info *types.Info, call *ast.CallExpr) string {
 	fn := lintutil.Callee(info, call)
 	if fn == nil {
@@ -199,7 +198,7 @@ func callTaint(info *types.Info, call *ast.CallExpr) string {
 	if fn.Pkg() != nil && path.Base(fn.Pkg().Path()) == "fmt" && fmtRenderers[fn.Name()] {
 		for _, arg := range call.Args {
 			if tv, ok := info.Types[arg]; ok && isNamed(tv.Type, "NFA", "nfa") {
-				return fmt.Sprintf("fmt.%s renders an *nfa.NFA by state numbering or pointer", fn.Name())
+				return fmt.Sprintf("fmt.%s renders an *nfa.NFA by its String summary or pointer", fn.Name())
 			}
 		}
 	}

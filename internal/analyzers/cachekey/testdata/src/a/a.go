@@ -10,41 +10,41 @@ import (
 
 // Direct raw-form arguments to solvecache.Key.
 func direct(m *nfa.NFA) {
-	solvecache.Key("d", m.Marshal())                   // want `nfa\.NFA\.Marshal serializes the raw state numbering`
-	solvecache.Key("d", m.Dot("g"))                    // want `nfa\.NFA\.Dot renders raw state ids`
-	solvecache.Key("d", m.String())                    // want `nfa\.NFA\.String renders the raw state numbering`
-	solvecache.Key("d", fmt.Sprintf("s%d", m.Start())) // want `nfa\.NFA\.Start is a raw state id`
-	solvecache.Key("d", fmt.Sprintf("%p", m))          // want `fmt\.Sprintf renders an \*nfa\.NFA by state numbering or pointer`
-	solvecache.Key("d", fmt.Sprint(m))                 // want `fmt\.Sprint renders an \*nfa\.NFA by state numbering or pointer`
+	solvecache.Key("d", m.Marshal())                   // want `nfa\.NFA\.Marshal re-serializes the machine on every probe; Key memoizes it`
+	solvecache.Key("d", m.Dot("g"))                    // want `nfa\.NFA\.Dot re-renders the machine on every probe`
+	solvecache.Key("d", m.String())                    // want `nfa\.NFA\.String renders only counts and state ids`
+	solvecache.Key("d", fmt.Sprintf("s%d", m.Start())) // want `nfa\.NFA\.Start is a bare state id`
+	solvecache.Key("d", fmt.Sprintf("%p", m))          // want `fmt\.Sprintf renders an \*nfa\.NFA by its String summary or pointer`
+	solvecache.Key("d", fmt.Sprint(m))                 // want `fmt\.Sprint renders an \*nfa\.NFA by its String summary or pointer`
 }
 
 // Taint flows through local assignments and string plumbing.
 func flows(c *solvecache.Cache, m *nfa.NFA, val any) {
 	raw := m.Marshal()
 	k := "prefix:" + raw
-	solvecache.Key("d", k)     // want `nfa\.NFA\.Marshal serializes the raw state numbering`
-	if _, ok := c.Get(k); ok { // want `nfa\.NFA\.Marshal serializes the raw state numbering`
+	solvecache.Key("d", k)     // want `nfa\.NFA\.Marshal re-serializes the machine on every probe; Key memoizes it`
+	if _, ok := c.Get(k); ok { // want `nfa\.NFA\.Marshal re-serializes the machine on every probe; Key memoizes it`
 		return
 	}
-	c.Put(k, val, 1) // want `nfa\.NFA\.Marshal serializes the raw state numbering`
+	c.Put(k, val, 1) // want `nfa\.NFA\.Marshal re-serializes the machine on every probe; Key memoizes it`
 
 	id := m.Final()
-	c.Put(fmt.Sprintf("f%d", id), val, 1) // want `nfa\.NFA\.Final is a raw state id`
+	c.Put(fmt.Sprintf("f%d", id), val, 1) // want `nfa\.NFA\.Final is a bare state id`
 
 	dot := m.Dot("g")
 	dot = strings.ToUpper(dot)
-	solvecache.Key("d", dot) // want `nfa\.NFA\.Dot renders raw state ids`
+	solvecache.Key("d", dot) // want `nfa\.NFA\.Dot re-renders the machine on every probe`
 
 	part := fmt.Sprintf("%v", m)
 	part = "v:" + part
-	solvecache.Key("d", part) // want `fmt\.Sprintf renders an \*nfa\.NFA by state numbering or pointer`
+	solvecache.Key("d", part) // want `fmt\.Sprintf renders an \*nfa\.NFA by its String summary or pointer`
 }
 
-// Canonical and numbering-free forms are fine.
+// Key and facts such as NumStates are fine.
 func clean(c *solvecache.Cache, m *nfa.NFA, val any) {
-	solvecache.Key("d", m.CanonicalKey())
+	solvecache.Key("d", m.Key())
 	solvecache.Key("d", fmt.Sprintf("n%d", m.NumStates()))
-	ck := m.CanonicalKey()
+	ck := m.Key()
 	k := solvecache.Key("d", ck, "salt")
 	if _, ok := c.Get(k); ok {
 		return

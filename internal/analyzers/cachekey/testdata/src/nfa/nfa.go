@@ -2,15 +2,12 @@
 // surface the cachekey analyzer matches on.
 package nfa
 
-import "io"
-
 type NFA struct{ n int }
 
-func (m *NFA) Marshal() string                    { return "" }
-func (m *NFA) WriteTo(w io.Writer) (int64, error) { return 0, nil }
-func (m *NFA) Dot(name string) string             { return "" }
-func (m *NFA) String() string                     { return "" }
-func (m *NFA) Start() int                         { return 0 }
-func (m *NFA) Final() int                         { return 0 }
-func (m *NFA) NumStates() int                     { return m.n }
-func (m *NFA) CanonicalKey() string               { return "" }
+func (m *NFA) Marshal() string        { return "" }
+func (m *NFA) Dot(name string) string { return "" }
+func (m *NFA) String() string         { return "" }
+func (m *NFA) Start() int             { return 0 }
+func (m *NFA) Final() int             { return 0 }
+func (m *NFA) NumStates() int         { return m.n }
+func (m *NFA) Key() string            { return "" }

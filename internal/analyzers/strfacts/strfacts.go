@@ -55,7 +55,7 @@ const (
 type Val struct {
 	m   *nfa.NFA // minimized machine; nil ⇒ Σ*
 	gen int
-	key string // canonical key of m; "" ⇒ Σ*
+	key string // language fingerprint of m; "" ⇒ Σ*
 }
 
 // Top returns Σ* at generation zero: unknown, but not widened.
@@ -67,9 +67,9 @@ func (v Val) IsTop() bool { return v.m == nil }
 // Machine returns the minimized machine, or nil for Σ*.
 func (v Val) Machine() *nfa.NFA { return v.m }
 
-// Key returns the canonical fingerprint of the language ("" for Σ*).
-// Equal keys mean equal languages: the machine is the minimal DFA, which
-// is unique up to isomorphism, and CanonicalKey is isomorphism-invariant.
+// Key returns the language fingerprint ("" for Σ*): the Fingerprint of the
+// minimal DFA the value was normalized through, as nfa.FingerprintB
+// computes it. Equal keys mean equal languages.
 func (v Val) Key() string { return v.key }
 
 // Gen returns the widening generation.
@@ -82,11 +82,11 @@ func (v Val) SameLang(o Val) bool { return v.key == o.key }
 // of an infeasible refinement; never stored in Facts).
 func (v Val) IsEmpty() bool { return v.m != nil && v.m.IsEmpty() }
 
-// anyKey memoizes the canonical key of Σ*, so normalization can collapse
+// anyKey memoizes the fingerprint of Σ*, so normalization can collapse
 // machines that happen to denote every string into the cheap top form.
 var anyKey = sync.OnceValue(func() string {
-	m, _ := nfa.MinimizedB(nil, nfa.AnyString()) // nil budget cannot fail
-	return m.CanonicalKey()
+	k, _ := nfa.FingerprintB(nil, nfa.AnyString()) // nil budget cannot fail
+	return k
 })
 
 // Domain performs all Val construction and counts widenings for -stats.
@@ -111,12 +111,20 @@ func (d *Domain) norm(m *nfa.NFA, gen int) Val {
 		return widened()
 	}
 	bud := budget.New(context.Background(), budget.Limits{MaxStates: normStates})
-	min, err := nfa.MinimizedB(bud, m)
-	if err != nil || min.NumStates() > MaxValStates {
+	dfa, err := nfa.DeterminizeB(bud, m)
+	if err == nil {
+		dfa, err = dfa.MinimizeB(bud)
+	}
+	if err != nil {
 		d.Widenings++
 		return widened()
 	}
-	key := min.CanonicalKey()
+	min := dfa.ToNFA()
+	if min.NumStates() > MaxValStates {
+		d.Widenings++
+		return widened()
+	}
+	key := dfa.Fingerprint()
 	if key == anyKey() {
 		return Val{gen: gen} // Σ* in disguise: use the canonical form
 	}

@@ -30,8 +30,8 @@ type verdict struct {
 	known    bool
 }
 
-// The discharge memo is keyed by canonical language fingerprints
-// (solvecache.Key over nfa.CanonicalKey-derived parts), so structurally
+// The discharge memo is keyed by language fingerprints (solvecache.Key
+// over strfacts.Val.Key, the nfa.FingerprintB form), so structurally
 // distinct automata for the same abstract value share one solve. The
 // dprle.Cache underneath additionally memoizes solver-internal components
 // across distinct systems. Both persist across passes: languages recur
@@ -43,7 +43,7 @@ var (
 )
 
 // argKey fingerprints an abstract value for the memo. Val.Key is the
-// canonical key of the minimal DFA; the two Σ* forms share one language.
+// fingerprint of the minimal DFA; the two Σ* forms share one language.
 func argKey(v strfacts.Val) string {
 	if v.IsTop() {
 		return "top"

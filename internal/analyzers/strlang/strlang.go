@@ -25,7 +25,7 @@ const (
 	// StatSolverCalls counts subset constraints sent to the solver (memo
 	// misses). Every one runs under a deadline and MaxStates/MaxSteps caps.
 	StatSolverCalls = "solver-calls"
-	// StatCacheHits counts constraints answered from the canonical-key memo
+	// StatCacheHits counts constraints answered from the fingerprint memo
 	// without a solve.
 	StatCacheHits = "cache-hits"
 	// StatWidenings counts abstract values collapsed to Σ* by a cap

@@ -14,16 +14,16 @@ import (
 // Component memoization. The dependency graph decomposes a system into
 // independent parts — free variables and CI-groups — whose solutions depend
 // only on their own structure: the constants constraining them (as
-// languages), the shape of their concat trees, and the solver options. Two
+// machines), the shape of their concat trees, and the solver options. Two
 // systems that share a component structurally share its solution, even when
-// variable names, constant names, state numberings, or the rest of the
-// system differ. This file derives canonical keys for those components and
-// translates solutions in and out of the shared cache.
+// variable names, constant names, or the rest of the system differ. This
+// file derives cache keys for those components and translates solutions in
+// and out of the shared cache.
 //
 // Soundness rests on two properties. First, keys are built exclusively from
-// canonical forms (nfa.CanonicalKey for constant languages, position
-// indices for group-local structure), so equal keys imply structurally
-// interchangeable components. Second, only complete results enter the
+// exact forms (nfa.NFA.Key, the full serialization, for constant machines;
+// position indices for group-local structure), so equal keys imply
+// identical components. Second, only complete results enter the
 // cache: storeGroup refuses to store while the solve's budget has tripped
 // (a tripped budget can silently degrade maximalization, dedup, and
 // pruning), so a hit always reproduces what a fresh, healthy solve would
@@ -47,9 +47,9 @@ func (o Options) cacheSalt() string {
 		o.Minimize, o.RawConstants, o.NoMaximalize, o.maxCombos())
 }
 
-// componentKey derives the canonical cache key for one CI-group. The
-// description uses group-local node positions (never raw ids or names) and
-// canonical constant serializations (never pointers), and preserves the
+// componentKey derives the cache key for one CI-group. The description
+// uses group-local node positions (never raw ids or names) and exact
+// constant serializations (never pointers), and preserves the
 // graph's constraint order, which the enumeration order — and hence any
 // MaxCombos truncation point — depends on. It returns "" when the group is
 // not safely describable (a non-constant operand outside the group, which
@@ -73,7 +73,7 @@ func componentKey(g *Graph, group []int, opts Options) string {
 		if !ok {
 			j = len(constKeys)
 			constIdx[id] = j
-			constKeys = append(constKeys, g.Nodes[id].Con.Lang.CanonicalKey())
+			constKeys = append(constKeys, g.Nodes[id].Con.Lang.Key())
 		}
 		return fmt.Sprintf("c%d", j)
 	}
@@ -113,7 +113,7 @@ func componentKey(g *Graph, group []int, opts Options) string {
 func freeVarKey(g *Graph, id int, opts Options) string {
 	var ks []string
 	for _, c := range g.SubsetsInto(id) {
-		ks = append(ks, c.Lang.CanonicalKey())
+		ks = append(ks, c.Lang.Key())
 	}
 	sort.Strings(ks)
 	parts := append([]string{fmt.Sprintf("min=%t raw=%t", opts.Minimize, opts.RawConstants)}, ks...)

@@ -54,8 +54,8 @@ type gciSolver struct {
 //
 // The per-solve map (keyed by *Const identity) is the first level; when the
 // solve carries a shared solvecache.Cache, minimized constants are also
-// memoized across solves under the raw machine's canonical key, so a
-// constant's minimization cost is paid once per structure process-wide
+// memoized across solves under the raw machine's key, so a constant's
+// minimization cost is paid once per structure process-wide
 // rather than once per solve.
 type constCache struct {
 	raw    bool
@@ -77,7 +77,7 @@ func (cc *constCache) get(c *Const) *nfa.NFA {
 	}
 	var key string
 	if cc.shared != nil {
-		key = solvecache.Key("const", c.Lang.CanonicalKey())
+		key = solvecache.Key("const", c.Lang.Key())
 		if v, ok := cc.shared.Get(key); ok {
 			m := v.(*nfa.NFA)
 			cc.canon[c] = m

@@ -46,8 +46,8 @@ type Options struct {
 	// benchmarks.
 	NoMaximalize bool
 	// Cache memoizes per-component solutions (CI-groups, free-variable
-	// reductions, canonicalized constants) across solves, keyed by canonical
-	// structural fingerprints (see internal/solvecache and cache.go). A nil
+	// reductions, canonicalized constants) across solves, keyed by exact
+	// machine serializations (see internal/solvecache and cache.go). A nil
 	// cache disables memoization. The cache is safe for concurrent use and
 	// may be shared across solves with different Options: the relevant
 	// option fields are part of every key. Results from solves that tripped
@@ -287,7 +287,7 @@ func solveBudget(s *System, want map[string]bool, opts Options, bud *budget.Budg
 	perGroup := make([][]map[int]*nfa.NFA, len(groups))
 	groupTrunc := make([]bool, len(groups))
 	groupErrs := make([]error, len(groups))
-	// Cache lookup pass: a group whose canonical key was solved before —
+	// Cache lookup pass: a group whose key was solved before —
 	// in any earlier system, under any variable names — is answered in
 	// hash time with its stored post-maximalized disjuncts.
 	groupKeys := make([]string, len(groups))

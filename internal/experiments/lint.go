@@ -51,7 +51,7 @@ type LintReport struct {
 	TotalWallNS int64 `json:"total_wall_ns"`
 	// SolverCalls/CacheHits/Widenings/Discharged surface the strlang
 	// counters CI asserts on: every discharge is either a budgeted solver
-	// call or a canonical-key cache hit, so SolverCalls+CacheHits must
+	// call or a fingerprint-memo hit, so SolverCalls+CacheHits must
 	// equal Discharged.
 	SolverCalls int `json:"solver_calls"`
 	CacheHits   int `json:"cache_hits"`

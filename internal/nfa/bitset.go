@@ -65,7 +65,7 @@ func (s stateSet) appendKey(dst []byte) []byte {
 }
 
 // ecloCache memoizes per-state ε-closures of an immutable machine. Entries
-// fill lazily under the same atomic.Pointer discipline as NFA.canon:
+// fill lazily under the same atomic.Pointer discipline as NFA.key:
 // concurrent solves over a shared (interned) machine may race to compute a
 // closure, but every racer computes the same value, so last-store-wins is
 // sound. The cache is allocated once at Build time and shared by every

@@ -1,6 +1,11 @@
 package nfa
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+)
 
 func TestDeterminizeAccepts(t *testing.T) {
 	m := Union(Literal("ab"), Star(Literal("a")))
@@ -161,5 +166,69 @@ func TestFingerprintEmptyAndEpsilon(t *testing.T) {
 	}
 	if must(FingerprintB(nil, Empty())) != must(FingerprintB(nil, must(IntersectB(nil, Literal("a"), Literal("b"))))) {
 		t.Fatal("two empty languages must match")
+	}
+}
+
+// fingerprintReference is the original fmt-based fingerprint serializer,
+// kept as the oracle that pins Fingerprint's output byte for byte: stored
+// fingerprints and every memo keyed by them must not change meaning.
+func fingerprintReference(d *DFA) string {
+	succ := make([][256]int, d.NumStates())
+	for s := 0; s < d.NumStates(); s++ {
+		for ai, atom := range d.atoms {
+			for _, c := range atom.Bytes() {
+				succ[s][c] = d.trans[s][ai]
+			}
+		}
+	}
+	order := []int{d.start}
+	pos := map[int]int{d.start: 0}
+	for qi := 0; qi < len(order); qi++ {
+		s := order[qi]
+		for c := 0; c < 256; c++ {
+			t := succ[s][c]
+			if _, ok := pos[t]; !ok {
+				pos[t] = len(order)
+				order = append(order, t)
+			}
+		}
+	}
+	var b strings.Builder
+	for _, s := range order {
+		if d.accept[s] {
+			b.WriteByte('A')
+		} else {
+			b.WriteByte('.')
+		}
+		c := 0
+		for c < 256 {
+			t := succ[s][c]
+			lo := c
+			for c < 256 && succ[s][c] == t {
+				c++
+			}
+			fmt.Fprintf(&b, "%d-%d>%d;", lo, c-1, pos[t])
+		}
+		b.WriteByte('|')
+	}
+	return b.String()
+}
+
+// TestFingerprintMatchesReference compares Fingerprint with the reference
+// serializer on minimal and non-minimal DFAs of random machines and on a
+// few fixed shapes (empty, ε, Σ*, a wide class).
+func TestFingerprintMatchesReference(t *testing.T) {
+	machines := []*NFA{Empty(), Epsilon(), AnyString(), Star(Class(Range(0x20, 0x7e))), buildPipelineMachine()}
+	r := rand.New(rand.NewSource(44))
+	for i := 0; i < 200; i++ {
+		machines = append(machines, randMachine(r, 3))
+	}
+	for i, m := range machines {
+		d := Determinize(m)
+		for _, d := range []*DFA{d, d.Minimize()} {
+			if got, want := d.Fingerprint(), fingerprintReference(d); got != want {
+				t.Fatalf("machine %d: Fingerprint differs from the reference:\n got %q\nwant %q", i, got, want)
+			}
+		}
 	}
 }

@@ -1,8 +1,7 @@
 package nfa
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"dprle/internal/budget"
 )
@@ -32,12 +31,10 @@ func Equivalent(a, b *NFA) bool {
 }
 
 // FingerprintB returns a canonical string identifying L(m): two machines
-// have equal fingerprints iff their languages are equal. The minimal DFA is
-// unique up to state renaming; renaming is fixed by BFS over bytes in
-// ascending order, and transitions are serialized as per-state successor
-// runs so the result is independent of how edge labels were partitioned.
-// The solver uses fingerprints to deduplicate disjunctive assignments. The
-// canonicalizing determinization + minimization is accounted against bud.
+// have equal fingerprints iff their languages are equal. It is the
+// Fingerprint of m's minimal DFA. The solver uses fingerprints to
+// deduplicate disjunctive assignments. The determinization and
+// minimization are accounted against bud.
 func FingerprintB(bud *budget.Budget, m *NFA) (string, error) {
 	dd, err := DeterminizeB(bud, m)
 	if err != nil {
@@ -47,45 +44,55 @@ func FingerprintB(bud *budget.Budget, m *NFA) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// succ[s][c] = successor of s on byte c.
-	succ := make([][256]int, d.NumStates())
-	for s := 0; s < d.NumStates(); s++ {
-		for ai, atom := range d.atoms {
-			for _, c := range atom.Bytes() {
-				succ[s][c] = d.trans[s][ai]
-			}
-		}
-	}
-	order := []int{d.start}
-	pos := map[int]int{d.start: 0}
+	return d.Fingerprint(), nil
+}
+
+// Fingerprint serializes d with its states renumbered by breadth-first
+// search from the start state over bytes in ascending order. Each state
+// contributes its acceptance flag and its successor runs (maximal byte
+// ranges with a common target), so the result does not depend on how the
+// bytes were partitioned into atoms. The string is a language key only when
+// d is minimal: the minimal DFA is unique up to state renaming, and the
+// search fixes the renaming. Two non-minimal DFAs for one language can
+// fingerprint differently.
+func (d *DFA) Fingerprint() string {
+	// pos[s] is one more than s's position in the search order; 0 means
+	// not yet reached.
+	pos := make([]int, d.NumStates())
+	order := make([]int, 1, d.NumStates())
+	order[0] = d.start
+	pos[d.start] = 1
 	for qi := 0; qi < len(order); qi++ {
-		s := order[qi]
+		row := d.trans[order[qi]]
 		for c := 0; c < 256; c++ {
-			t := succ[s][c]
-			if _, ok := pos[t]; !ok {
-				pos[t] = len(order)
+			if t := row[d.atomOf[c]]; pos[t] == 0 {
 				order = append(order, t)
+				pos[t] = len(order)
 			}
 		}
 	}
-	var b strings.Builder
+	b := make([]byte, 0, 16*len(order))
 	for _, s := range order {
 		if d.accept[s] {
-			b.WriteByte('A')
+			b = append(b, 'A')
 		} else {
-			b.WriteByte('.')
+			b = append(b, '.')
 		}
-		// Serialize successor runs: byte ranges with a common target.
-		c := 0
-		for c < 256 {
-			t := succ[s][c]
+		row := d.trans[s]
+		for c := 0; c < 256; {
+			t := row[d.atomOf[c]]
 			lo := c
-			for c < 256 && succ[s][c] == t {
+			for c < 256 && row[d.atomOf[c]] == t {
 				c++
 			}
-			fmt.Fprintf(&b, "%d-%d>%d;", lo, c-1, pos[t])
+			b = strconv.AppendInt(b, int64(lo), 10)
+			b = append(b, '-')
+			b = strconv.AppendInt(b, int64(c-1), 10)
+			b = append(b, '>')
+			b = strconv.AppendInt(b, int64(pos[t]-1), 10)
+			b = append(b, ';')
 		}
-		b.WriteByte('|')
+		b = append(b, '|')
 	}
-	return b.String(), nil
+	return string(b)
 }

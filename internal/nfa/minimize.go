@@ -21,7 +21,7 @@ func (d *DFA) Minimize() *DFA {
 // The result numbers classes by their first state in state order, except
 // that a stable initial split keeps non-accepting = 0 and accepting = 1.
 // This is exactly the numbering Moore's round-based refinement produces,
-// so fingerprints, canonical keys and everything derived from them are
+// so fingerprints and everything derived from them are
 // independent of the refinement algorithm.
 //
 // The budget is checked once on entry and then once per states · atoms

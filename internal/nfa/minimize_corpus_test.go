@@ -37,7 +37,7 @@ func TestMinimizeMatchesMooreOnCorpus(t *testing.T) {
 			consts = constants(append(consts, c.Rhs.Lang), c.Lhs)
 		}
 		for _, m := range consts {
-			key := m.CanonicalKey()
+			key := m.Key()
 			if seen[key] {
 				continue
 			}

@@ -37,11 +37,11 @@ type NFA struct {
 	start int
 	final int
 
-	// canon memoizes CanonicalKey. Sound because machines are immutable
-	// once built; atomic because interned machines are shared across
-	// concurrently-running solves. The key depends on start/final, so
-	// views start unmemoized.
-	canon atomic.Pointer[string]
+	// key memoizes Key. Sound because machines are immutable once built;
+	// atomic because interned machines are shared across concurrently-
+	// running solves. The key depends on start/final, so views start
+	// unmemoized.
+	key atomic.Pointer[string]
 
 	// eclo memoizes per-state ε-closures and seamfree the seam-stripped
 	// transition structure. Both depend only on the transition structure,

@@ -3,7 +3,6 @@ package nfa
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
@@ -23,20 +22,29 @@ import (
 
 const serializeHeader = "dprle-nfa 1"
 
-// WriteTo serializes the machine in the dprle-nfa text format.
-func (m *NFA) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(m.appendWire(make([]byte, 0, 64+32*m.NumStates())))
-	return int64(n), err
-}
-
 // Marshal returns the machine serialized as a string.
 func (m *NFA) Marshal() string {
 	return string(m.appendWire(make([]byte, 0, 64+32*m.NumStates())))
 }
 
+// Key returns the machine's exact serialization, Marshal, memoized on the
+// machine. Equal keys mean identical machines: the same states, edges, seam
+// tags, start and final. That makes the key sound as a cache key, and
+// because every machine is built deterministically, a rebuilt machine keys
+// the same as the original. Repeated calls, the common case when one
+// constant constrains many components, cost one atomic load.
+func (m *NFA) Key() string {
+	if k := m.key.Load(); k != nil {
+		return *k
+	}
+	k := m.Marshal()
+	m.key.Store(&k)
+	return k
+}
+
 // appendWire appends the wire-format serialization to b. Serialization sits
-// on the canonical-key path, consulted once per cache probe of a fresh
-// machine, so it is written with integer appends rather than fmt.
+// on the cache-key path, consulted once per cache probe of a fresh machine,
+// so it is written with integer appends rather than fmt.
 func (m *NFA) appendWire(b []byte) []byte {
 	b = append(b, serializeHeader...)
 	b = append(b, "\nstates "...)
@@ -71,10 +79,6 @@ func (m *NFA) appendWire(b []byte) []byte {
 	return append(b, "end\n"...)
 }
 
-func rangesText(set CharSet) string {
-	return string(appendRangesText(make([]byte, 0, 32), set))
-}
-
 // appendRangesText appends the maximal contiguous [lo,hi] runs of the set
 // as "lo-hi[,lo-hi…]" in decimal.
 func appendRangesText(b []byte, set CharSet) []byte {
@@ -99,9 +103,9 @@ func appendRangesText(b []byte, set CharSet) []byte {
 	return b
 }
 
-// ReadFrom deserializes a machine written by WriteTo.
-func ReadFrom(r io.Reader) (*NFA, error) {
-	sc := bufio.NewScanner(r)
+// Unmarshal parses a machine serialized by Marshal.
+func Unmarshal(s string) (*NFA, error) {
+	sc := bufio.NewScanner(strings.NewReader(s))
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := func() (string, bool) {
 		for sc.Scan() {
@@ -178,11 +182,6 @@ func ReadFrom(r io.Reader) (*NFA, error) {
 			return nil, fmt.Errorf("nfa: unknown directive %q", fields[0])
 		}
 	}
-}
-
-// Unmarshal parses a machine serialized by Marshal.
-func Unmarshal(s string) (*NFA, error) {
-	return ReadFrom(strings.NewReader(s))
 }
 
 func parseRanges(text string) (CharSet, error) {

@@ -334,19 +334,19 @@ func TestClosureCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestViewCanonicalKeysIndependent guards the one memo that must NOT be
-// shared between views: CanonicalKey depends on start/final, so two views
-// over the same structure with different spans must key differently, and a
-// view must key identically to a deep copy of itself.
-func TestViewCanonicalKeysIndependent(t *testing.T) {
+// TestViewKeysIndependent guards the one memo that must NOT be shared
+// between views: Key depends on start/final, so two views over the same
+// structure with different spans must key differently, and a view must key
+// identically to a deep copy of itself.
+func TestViewKeysIndependent(t *testing.T) {
 	m := chainMachine(2)
 	a := m.Induce(m.Start(), m.TaggedEdges()[0].From)
 	b := m.Induce(m.TaggedEdges()[0].To, m.Final())
-	ka, kb := a.CanonicalKey(), b.CanonicalKey()
+	ka, kb := a.Key(), b.Key()
 	if ka == kb {
-		t.Fatalf("views over different spans share a canonical key: %q", ka)
+		t.Fatalf("views over different spans share a key: %q", ka)
 	}
-	if kc := a.Copy().CanonicalKey(); kc != ka {
+	if kc := a.Copy().Key(); kc != ka {
 		t.Fatalf("view keys %q but its deep copy keys %q", ka, kc)
 	}
 }

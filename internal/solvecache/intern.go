@@ -2,10 +2,10 @@ package solvecache
 
 import "dprle/internal/nfa"
 
-// Interner dedups structurally-identical automata in memory: machines with
-// equal canonical keys share one *nfa.NFA. The table rides on a Cache, so
-// interned machines participate in the same LRU and byte accounting as
-// solve results (cost is approximated by the canonical serialization
+// Interner dedups identical automata in memory: machines with equal keys
+// (nfa.NFA.Key, the exact serialization) share one *nfa.NFA. The table
+// rides on a Cache, so interned machines participate in the same LRU and
+// byte accounting as solve results (cost is approximated by the key
 // length). Interning is safe because NFAs are immutable once built.
 type Interner struct {
 	c *Cache
@@ -15,12 +15,11 @@ type Interner struct {
 // interner that returns its inputs unchanged.
 func NewInterner(c *Cache) *Interner { return &Interner{c: c} }
 
-// Intern returns the shared representative for m's structure and m's
-// canonical key. The first machine seen for a structure becomes the
-// representative; later structurally-identical machines are dropped in
-// favor of it.
+// Intern returns the shared representative for m's structure and m's key.
+// The first machine seen for a structure becomes the representative; later
+// identical machines are dropped in favor of it.
 func (in *Interner) Intern(m *nfa.NFA) (*nfa.NFA, string) {
-	key := m.CanonicalKey()
+	key := m.Key()
 	if in == nil || in.c == nil {
 		return m, key
 	}

@@ -1,14 +1,15 @@
 // Package solvecache is the solver's memoization subsystem: a
-// cost-accounted LRU keyed by canonical fingerprints, an interning table
-// that dedups structurally-identical automata in memory, and a singleflight
-// layer that collapses concurrent identical requests onto one solve.
+// cost-accounted LRU keyed by exact machine serializations, an interning
+// table that dedups identical automata in memory, and a singleflight layer
+// that collapses concurrent identical requests onto one solve.
 //
-// Keys are derived exclusively from canonical forms (nfa.CanonicalKey and
-// the depgraph component descriptions built on it), never from pointers or
-// raw state ids, so a key equality always witnesses structural equality —
-// a cache hit can substitute for a solve but never confuse two systems.
-// Partial or degraded results are never stored: the cache holds only
-// complete, verified answers (see DESIGN.md §10).
+// Keys are derived exclusively from exact forms (nfa.NFA.Key, the
+// machine's full serialization, and the depgraph component descriptions
+// built on it), never from pointers or bare state ids, so a key equality
+// always witnesses identical machines — a cache hit can substitute for a
+// solve but never confuse two systems. Partial or degraded results are
+// never stored: the cache holds only complete, verified answers (see
+// DESIGN.md §10).
 package solvecache
 
 import (

@@ -216,7 +216,7 @@ func TestInternerDedups(t *testing.T) {
 	a, keyA := in.Intern(nfa.Literal("ab"))
 	b, keyB := in.Intern(nfa.Literal("ab"))
 	if keyA != keyB {
-		t.Fatal("identical machines got different canonical keys")
+		t.Fatal("identical machines got different keys")
 	}
 	if a != b {
 		t.Fatal("identical machines were not interned to one representative")

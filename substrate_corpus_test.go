@@ -66,7 +66,7 @@ func TestSubstrateCorpusGate(t *testing.T) {
 
 // TestConcurrentSolvesSharedMachines runs the corpus from several
 // goroutines over ONE set of systems — every goroutine holds the same *NFA
-// pointers, so the ε-closure, canonical-key, and seam-free memos are
+// pointers, so the ε-closure, Key, and seam-free memos are
 // populated and read concurrently, exactly as concurrent server solves over
 // interned machines do. Results must match a single-threaded baseline.
 func TestConcurrentSolvesSharedMachines(t *testing.T) {
