@@ -3,12 +3,12 @@
 //	benchtab -table fig11        the Figure 11 data-set table
 //	benchtab -table fig12        the Figure 12 per-defect results table
 //	benchtab -table fig12 -full  … including the warp/secure pathological
-//	                             case (seconds here; the paper's took 577 s)
-//	benchtab -table fig12 -full -timeout 100ms
+//	                             case (about 0.2 s here; the paper's took 577 s)
+//	benchtab -table fig12 -full -timeout 20ms
 //	                             … with a per-path solve budget: the
 //	                             pathological row records a budget trip in
 //	                             its "exh" column instead of solving to the
-//	                             end (about a second)
+//	                             end (about 0.2 s)
 //
 // Each fig12 row also reports the solver's budget counters (NFA states
 // materialized, checkpoints passed, exhausted paths).

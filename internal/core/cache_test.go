@@ -348,3 +348,47 @@ func TestCacheFreeVarPath(t *testing.T) {
 		t.Fatal("cached free-var language differs from computed one")
 	}
 }
+
+// TestConstCacheSharedAcrossGroups solves a system of several uncached
+// CI-groups over shared constants, concurrently and sequentially, each under
+// a fresh shared cache. One constant cache serves the whole solve, so each
+// constant is canonicalized once — one shared-cache lookup and one store —
+// however the groups are scheduled, and both runs leave identical cache
+// counters. Under -race it also exercises the cache's synchronization.
+func TestConstCacheSharedAcrossGroups(t *testing.T) {
+	build := func() (*System, []*Const) {
+		s := NewSystem()
+		consts := []*Const{
+			s.MustConst("c1", regex.MustCompile("(ab|ba)+c")),
+			s.MustConst("c2", regex.MustCompile("a*b(b|c)*")),
+		}
+		for i, name := range []string{"p", "q", "r", "s", "t", "u"} {
+			c := consts[i%len(consts)]
+			s.MustAdd(Cat{Left: Var{name + "1"}, Right: Var{name + "2"}}, c)
+		}
+		return s, consts
+	}
+	run := func(sequential bool) solvecache.Stats {
+		s, consts := build()
+		if n := len(BuildGraph(s).CIGroups()); n != 6 {
+			t.Fatalf("system has %d CI-groups, want 6", n)
+		}
+		cache := solvecache.New(solvecache.Config{})
+		res, err := SolveCtx(context.Background(), s, Options{Cache: cache, Sequential: sequential})
+		if err != nil || len(res.Assignments) == 0 {
+			t.Fatalf("sequential=%t: %d assignments, err %v", sequential, len(res.Assignments), err)
+		}
+		for _, c := range consts {
+			if _, ok := cache.Get(solvecache.Key("const", c.Lang.Key())); !ok {
+				t.Fatalf("sequential=%t: constant %s was not stored", sequential, c.Name)
+			}
+		}
+		return cache.Stats()
+	}
+	seq := run(true)
+	for i := 0; i < 4; i++ {
+		if got := run(false); got != seq {
+			t.Fatalf("concurrent solve cache stats %+v, sequential %+v", got, seq)
+		}
+	}
+}

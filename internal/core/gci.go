@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"dprle/internal/budget"
 	"dprle/internal/faultinject"
@@ -52,43 +53,63 @@ type gciSolver struct {
 // budget trips mid-minimization the cache degrades to the raw constant
 // machine instead of failing the solve.
 //
-// The per-solve map (keyed by *Const identity) is the first level; when the
-// solve carries a shared solvecache.Cache, minimized constants are also
-// memoized across solves under the raw machine's key, so a constant's
-// minimization cost is paid once per structure process-wide
-// rather than once per solve.
+// One cache serves a whole solve: the free-variable stage, every CI-group
+// solver (concurrent ones included) and the maximizer. It is keyed by
+// *Const identity and safe for concurrent use; each constant is
+// canonicalized once per solve, and a caller asking for a constant another
+// goroutine is canonicalizing waits for that result. When the solve carries
+// a shared solvecache.Cache, minimized constants are also memoized across
+// solves under the raw machine's key, so a constant's minimization cost is
+// paid once per structure process-wide rather than once per solve.
 type constCache struct {
 	raw    bool
 	bud    *budget.Budget
-	canon  map[*Const]*nfa.NFA
 	shared *solvecache.Cache
+
+	mu    sync.Mutex
+	canon map[*Const]*canonConst
+}
+
+// canonConst is one constant's canonical machine, computed once.
+type canonConst struct {
+	once sync.Once
+	m    *nfa.NFA
 }
 
 func newConstCache(opts Options, bud *budget.Budget) *constCache {
-	return &constCache{raw: opts.RawConstants, bud: bud, canon: map[*Const]*nfa.NFA{}, shared: opts.Cache}
+	return &constCache{raw: opts.RawConstants, bud: bud, canon: map[*Const]*canonConst{}, shared: opts.Cache}
 }
 
 func (cc *constCache) get(c *Const) *nfa.NFA {
 	if cc.raw {
 		return c.Lang
 	}
-	if m, ok := cc.canon[c]; ok {
-		return m
+	cc.mu.Lock()
+	e, ok := cc.canon[c]
+	if !ok {
+		e = &canonConst{}
+		cc.canon[c] = e
 	}
+	cc.mu.Unlock()
+	e.once.Do(func() { e.m = cc.canonicalize(c) })
+	return e.m
+}
+
+// canonicalize returns c's minimized machine, from the shared cache when it
+// holds one. A budget trip degrades to the raw machine; the budget is
+// sticky, so a retry would trip again.
+func (cc *constCache) canonicalize(c *Const) *nfa.NFA {
 	var key string
 	if cc.shared != nil {
 		key = solvecache.Key("const", c.Lang.Key())
 		if v, ok := cc.shared.Get(key); ok {
-			m := v.(*nfa.NFA)
-			cc.canon[c] = m
-			return m
+			return v.(*nfa.NFA)
 		}
 	}
 	m, err := nfa.MinimizedB(cc.bud, c.Lang)
 	if err != nil {
 		return c.Lang // budget tripped: degrade to the equivalent raw machine
 	}
-	cc.canon[c] = m
 	if cc.shared != nil && cc.bud.Err() == nil {
 		cc.shared.Put(key, m, machineCost(m))
 	}

@@ -24,9 +24,13 @@ import (
 // current (verified) assignment is returned unchanged instead of failing.
 
 // maximizer maximalizes assignments against one system, caching the
-// complement machines of constraint right-hand sides across calls.
+// complement machines of constraint right-hand sides across calls. It
+// complements the solve's canonical constants (minimal DFAs, often a
+// fraction of the raw machine's size; the raw machines themselves under
+// Options.RawConstants).
 type maximizer struct {
 	sys    *System
+	canon  *constCache
 	bud    *budget.Budget   // nil means unlimited
 	cons   []Constraint     // desugared
 	byVar  map[string][]int // var name → indices into cons mentioning it
@@ -34,8 +38,8 @@ type maximizer struct {
 	rounds int
 }
 
-func newMaximizer(s *System, bud *budget.Budget) *maximizer {
-	m := &maximizer{sys: s, bud: bud, cons: s.desugared(), byVar: map[string][]int{}, notRhs: map[*Const]*nfa.NFA{}, rounds: 8}
+func newMaximizer(s *System, canon *constCache, bud *budget.Budget) *maximizer {
+	m := &maximizer{sys: s, canon: canon, bud: bud, cons: s.desugared(), byVar: map[string][]int{}, notRhs: map[*Const]*nfa.NFA{}, rounds: 8}
 	for i, c := range m.cons {
 		for _, leaf := range flattenCat(c.Lhs) {
 			if v, ok := leaf.(Var); ok {
@@ -73,7 +77,7 @@ func (m *maximizer) notC(c *Const) (*nfa.NFA, error) {
 	if n, ok := m.notRhs[c]; ok {
 		return n, nil
 	}
-	n, err := nfa.ComplementB(m.bud, c.Lang)
+	n, err := nfa.ComplementB(m.bud, m.canon.get(c))
 	if err != nil {
 		return nil, err
 	}

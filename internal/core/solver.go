@@ -330,10 +330,10 @@ func solveBudget(s *System, want map[string]bool, opts Options, bud *budget.Budg
 						groupErrs[i] = fmt.Errorf("core: internal panic in CI-group solver: %v\n%s", r, debug.Stack())
 					}
 				}()
-				// Each goroutine gets its own solver state and constant
-				// cache: the shared canon map is not synchronized.
+				// Each goroutine gets its own solver state; the constant
+				// cache is shared.
 				solver := &gciSolver{
-					g: g, opts: opts, canon: newConstCache(opts, bud), bud: bud,
+					g: g, opts: opts, canon: canon, bud: bud,
 					varLang: map[int]*nfa.NFA{}, built: map[int]*nfa.NFA{},
 				}
 				perGroup[i], groupTrunc[i], groupErrs[i] = solver.solveGroupTrunc(group)
@@ -402,7 +402,7 @@ func solveBudget(s *System, want map[string]bool, opts Options, bud *budget.Budg
 				continue // cached disjuncts are already maximal
 			}
 			if maxer == nil {
-				maxer = newMaximizer(s, bud)
+				maxer = newMaximizer(s, canon, bud)
 			}
 			perGroup[gi] = maximalizeGroup(maxer, g, groups[gi], sols)
 		}

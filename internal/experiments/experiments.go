@@ -120,7 +120,7 @@ func RunDefectBudget(d corpus.Defect, opts core.Options, pathTimeout time.Durati
 }
 
 // Figure12 runs every defect. When skipBig is set the pathological
-// warp/secure case is skipped (the paper's 577 s row, about a second
+// warp/secure case is skipped (the paper's 577 s row, about 0.2 s
 // here); pass false to measure it too.
 func Figure12(opts core.Options, skipBig bool) ([]Fig12Row, error) {
 	return Figure12Budget(opts, skipBig, 0, 0, 0)

@@ -6,9 +6,12 @@ import (
 )
 
 // stateSet is a bitset over machine state ids: state s lives at bit s&63 of
-// word s>>6. Word-at-a-time union and emptiness are what let the subset
-// construction and the reachability kernels run at memory speed; the earlier
-// []bool representation walked one state per loop iteration.
+// word s>>6. Word-at-a-time union and emptiness are what let membership, the
+// on-the-fly subset walks (Accepts, ShortestWitness, Enumerate) and the
+// reachability kernels run at memory speed; the earlier []bool
+// representation walked one state per loop iteration. DeterminizeB keeps
+// sorted state lists instead: its cost follows the size of each subset, not
+// the width of the machine.
 type stateSet []uint64
 
 // newStateSet returns an empty set with capacity for numStates states.
@@ -50,18 +53,6 @@ func (s stateSet) forEach(fn func(state int)) {
 			fn(wi<<6 | b)
 		}
 	}
-}
-
-// appendKey appends a canonical byte encoding of the set (little-endian
-// words) to dst. Equal sets of equal capacity encode identically, which is
-// what the subset construction keys its dedup map by.
-func (s stateSet) appendKey(dst []byte) []byte {
-	for _, w := range s {
-		dst = append(dst,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-	}
-	return dst
 }
 
 // ecloCache memoizes per-state ε-closures of an immutable machine. Entries

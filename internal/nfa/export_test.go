@@ -1,5 +1,9 @@
 package nfa
 
-// MooreMismatch exposes the Moore differential check to this directory's
-// external tests, which reach the corpus through packages importing nfa.
-var MooreMismatch = mooreMismatch
+// MooreMismatch and DeterminizeMismatch expose the differential checks to
+// this directory's external tests, which reach the corpus through packages
+// importing nfa.
+var (
+	MooreMismatch       = mooreMismatch
+	DeterminizeMismatch = determinizeMismatch
+)
